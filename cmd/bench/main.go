@@ -79,9 +79,9 @@ type Speedups struct {
 	// >= 1 means a batched UNDERVOLTED lane is no slower than an exact
 	// nominal-voltage pass.
 	BatchLane64VsExactFused float64 `json:"batch_lane64_vs_exact_fused"`
-	// ServeBatchedVsScalar is scalar-dispatch ns/request over
-	// micro-batched ns/request for the in-process /v1/detect server
-	// under concurrent load.
+	// ServeBatchedVsScalar is one-lane-batch (MaxBatch 0) ns/request
+	// over 16-lane-batch ns/request for the in-process /v1/detect
+	// server under concurrent load.
 	ServeBatchedVsScalar float64 `json:"serve_batched_vs_scalar"`
 	// ServeWireVsJSON is JSON-over-TCP ns/request over SHMDWIRE
 	// streaming ns/request: the same single-program request mix through
@@ -237,7 +237,7 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 		batchRows[k] = res
 	}
 
-	// In-process /v1/detect throughput, scalar dispatch vs micro-batched:
+	// In-process /v1/detect throughput, one-lane vs 16-lane batches:
 	// same model, same pool shape, concurrent clients through the handler
 	// (no sockets). One op = one single-program request.
 	serveScalar, err := measureServe(env.Base, count, 0)
@@ -275,8 +275,9 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 // measureServe benchmarks the detection service end to end in-process:
 // a real serve.Server (pool of 4 undervolted sessions at the operating
 // rate), concurrent clients calling the handler directly. maxBatch 0
-// measures the scalar per-request dispatch; > 1 the micro-batching
-// dispatcher with that lane limit.
+// measures one-lane batches (the row keeps its historical name,
+// serve_detect_scalar); > 1 the micro-batching dispatcher with that
+// lane limit.
 func measureServe(base *hmd.HMD, count, maxBatch int) (Result, error) {
 	name := "serve_detect_scalar"
 	if maxBatch > 1 {

@@ -87,7 +87,7 @@ func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record 
 			}
 		}()
 	}
-	decs = s.base.WithFreshBuffers().DetectTracesUnit(binj, traces)
+	decs = s.base.DetectTracesUnit(binj, traces)
 	return decs, logs, true
 }
 

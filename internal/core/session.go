@@ -119,8 +119,12 @@ func (sess *Session) Recalibrate(rate float64) (float64, error) {
 }
 
 // AtNominal reports whether the plane currently sits at nominal
-// voltage (true whenever no detection is in flight).
+// voltage (true whenever no detection is in flight). It takes the
+// session lock, so a read racing a ForceNominal from another goroutine
+// (a pool closing while a runner releases its slot) is ordered.
 func (sess *Session) AtNominal() bool {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
 	return sess.s.reg.UndervoltMV() == 0
 }
 

@@ -148,7 +148,7 @@ func (b *BatchInjector) configure(rate float64) {
 	if rate > 0 && rate < 1 {
 		b.invLog1mRate = 1 / math.Log1p(-rate)
 		if rate >= gapTableMinRate {
-			b.table = newGeomTable(rate)
+			b.table = geomTableFor(rate)
 		}
 	}
 }

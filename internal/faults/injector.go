@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"shmd/internal/fxp"
 )
@@ -59,9 +60,9 @@ func (c Counters) BitRates() [ProductBits]float64 {
 // An Injector is not safe for concurrent use; give each goroutine its
 // own (they are cheap, and independent streams keep runs reproducible).
 type Injector struct {
-	rate  float64
-	dist  *Distribution
-	rnd   *rand.Rand
+	rate float64
+	dist *Distribution
+	rnd  *rand.Rand
 	// src, when non-nil, is the Source64 behind rnd (same state, two
 	// views). The fused per-fault draw reads it directly to skip the
 	// rand.Rand call wrapper; batch-injector lanes set it. Draw values
@@ -112,7 +113,25 @@ const (
 // see the derivation on Distribution.buildAlias — from a single
 // 8-byte row load.
 type geomTable struct {
+	rate float64
 	rows [gapTableSize]aliasRow32
+}
+
+// lastGeom memoizes the most recently built gap table. A table is a
+// pure function of its rate and read-only once built, and a server's
+// slots and batched passes run at one operating rate, so a batched
+// pass reuses the table instead of rebuilding its 512 alias rows.
+var lastGeom atomic.Pointer[geomTable]
+
+// geomTableFor returns the gap table for rate, rebuilding it only when
+// the rate differs from the last one built.
+func geomTableFor(rate float64) *geomTable {
+	if t := lastGeom.Load(); t != nil && t.rate == rate {
+		return t
+	}
+	t := newGeomTable(rate)
+	lastGeom.Store(t)
+	return t
 }
 
 // newGeomTable tabulates Geometric(rate) for rate in
@@ -125,7 +144,7 @@ func newGeomTable(rate float64) *geomTable {
 		q *= 1 - rate
 	}
 	w[gapTableTail] = q // P(gap >= gapTableTail)
-	t := &geomTable{}
+	t := &geomTable{rate: rate}
 	prob, alias := aliasBuild(w)
 	for i := range t.rows {
 		t.rows[i] = aliasRow32{
@@ -216,7 +235,7 @@ func (in *Injector) SetRate(rate float64) error {
 	if rate > 0 && rate < 1 {
 		in.invLog1mRate = 1 / math.Log1p(-rate)
 		if rate >= gapTableMinRate {
-			in.gapTable = newGeomTable(rate)
+			in.gapTable = geomTableFor(rate)
 		}
 	}
 	return nil

@@ -17,20 +17,11 @@ import (
 // handler maps it to a 503 shed, never a hang.
 var errBrownout = errors.New("route: no routable backend")
 
-// proxyResult is one backend's reply, buffered for relay.
+// proxyResult is one backend's HTTP reply, buffered for relay.
 type proxyResult struct {
-	status  int
-	ctype   string
-	body    []byte
-	backend string
-	hedged  bool
-}
-
-// attemptOutcome is one forwarding attempt's result.
-type attemptOutcome struct {
-	res   *proxyResult
-	hedge bool
-	err   error
+	status int
+	ctype  string
+	body   []byte
 }
 
 // handleDetect proxies POST /v1/detect onto the fleet.
@@ -70,15 +61,16 @@ func (rt *Router) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := rt.dispatch(r.Context(), body, r.Header)
+	out, err := dispatch(r.Context(), rt, false, rt.forwardHTTP(body, r.Header))
 	if err != nil {
 		rt.failDetect(w, r, err)
 		return
 	}
-	if res.hedged {
+	if out.hedged {
 		rt.metrics.HedgeWin()
 	}
-	w.Header().Set("X-Shmd-Backend", res.backend)
+	res := out.res
+	w.Header().Set("X-Shmd-Backend", out.backend.name)
 	if res.ctype != "" {
 		w.Header().Set("Content-Type", res.ctype)
 	}
@@ -117,55 +109,74 @@ func (rt *Router) status(w http.ResponseWriter, code int, msg string) {
 	http.Error(w, msg, code)
 }
 
-// dispatch runs the retry loop: each round makes one (possibly hedged)
-// attempt on backends not yet tried, and a connect error or 5xx earns
-// another round after an equal-jitter backoff, up to MaxRetries. The
-// tried set persists across rounds so a retry always lands on a fresh
-// backend while one exists.
-func (rt *Router) dispatch(ctx context.Context, body []byte, hdr http.Header) (*proxyResult, error) {
+// outcome is one attempt's result: the transport's reply, the backend
+// that produced it, and whether it came from the hedge.
+type outcome[R any] struct {
+	res     R
+	backend *backend
+	hedged  bool
+	err     error
+}
+
+// dispatch is the one retry/hedge/breaker loop both transports run;
+// attempt sends one request to one backend in the transport's own
+// codec. Each round makes one (possibly hedged) attempt on backends
+// not yet tried, and a failed attempt earns another round after an
+// equal-jitter backoff, up to MaxRetries. The tried set persists
+// across rounds so a retry always lands on a fresh backend while one
+// exists. wireOnly restricts the picks to backends with a SHMDWIRE
+// address.
+func dispatch[R any](ctx context.Context, rt *Router, wireOnly bool, attempt func(context.Context, *backend) (R, error)) (outcome[R], error) {
 	tried := make(map[*backend]bool, len(rt.backends))
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		res, err := rt.race(ctx, body, hdr, tried)
+	for round := 0; ; round++ {
+		out, err := race(ctx, rt, wireOnly, tried, attempt)
 		if err == nil {
-			return res, nil
+			return out, nil
 		}
 		if errors.Is(err, errBrownout) {
 			if lastErr != nil {
 				// Fresh backends ran out mid-retry; report the real
 				// failure, not the exhaustion.
-				return nil, lastErr
+				return out, lastErr
 			}
 			// Nothing was ever routable: a brownout shed, not a failed
 			// dispatch.
-			return nil, err
+			return out, err
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return out, ctx.Err()
 		}
 		lastErr = err
-		if attempt >= rt.cfg.MaxRetries {
-			return nil, lastErr
+		if round >= rt.cfg.MaxRetries {
+			return out, lastErr
 		}
 		rt.metrics.Retry()
-		rt.cfg.Sleep(rt.jitter.Backoff(rt.cfg.RetryBackoff, rt.cfg.MaxRetryBackoff, attempt))
+		rt.cfg.Sleep(rt.jitter.Backoff(rt.cfg.RetryBackoff, rt.cfg.MaxRetryBackoff, round))
 	}
 }
 
-// race makes one dispatch attempt: forward to the picked backend and,
-// if the reply outlives HedgeAfter, re-dispatch to a second backend —
-// the first verdict wins and the loser's attempt finishes detached
-// (its breaker feedback still lands). Every backend used is added to
-// tried.
-func (rt *Router) race(ctx context.Context, body []byte, hdr http.Header, tried map[*backend]bool) (*proxyResult, error) {
-	primary, probe := rt.pick(tried)
-	if primary == nil {
-		return nil, errBrownout
-	}
-	tried[primary] = true
+// race makes one dispatch round: attempt the picked backend and, if
+// the reply outlives HedgeAfter, a second one — the first success wins
+// and the loser finishes detached (its breaker feedback still lands).
+// Every backend used is added to tried.
+func race[R any](ctx context.Context, rt *Router, wireOnly bool, tried map[*backend]bool, attempt func(context.Context, *backend) (R, error)) (outcome[R], error) {
 	// Buffered for every possible runner so a loser's send never blocks.
-	outcomes := make(chan attemptOutcome, 2)
-	rt.forwardAsync(ctx, primary, body, hdr, false, probe, outcomes)
+	outcomes := make(chan outcome[R], 2)
+	launch := func(b *backend, probe, hedged bool) {
+		tried[b] = true
+		rt.reqWG.Add(1)
+		go func() {
+			defer rt.reqWG.Done()
+			res, err := try(ctx, b, probe, attempt)
+			outcomes <- outcome[R]{res: res, backend: b, hedged: hedged, err: err}
+		}()
+	}
+	primary, probe := rt.pick(tried, wireOnly)
+	if primary == nil {
+		return outcome[R]{}, errBrownout
+	}
+	launch(primary, probe, false)
 
 	var hedgeC <-chan time.Time
 	if rt.cfg.HedgeAfter > 0 {
@@ -180,8 +191,7 @@ func (rt *Router) race(ctx context.Context, body []byte, hdr http.Header, tried 
 		case out := <-outcomes:
 			pending--
 			if out.err == nil {
-				out.res.hedged = out.hedge
-				return out.res, nil
+				return out, nil
 			}
 			if firstErr == nil {
 				firstErr = out.err
@@ -190,17 +200,43 @@ func (rt *Router) race(ctx context.Context, body []byte, hdr http.Header, tried 
 			hedgeC = nil
 			// Hedging spends only capacity that is routable right now;
 			// no second backend → the primary simply keeps running.
-			if h, hprobe := rt.pick(tried); h != nil {
-				tried[h] = true
+			if h, hprobe := rt.pick(tried, wireOnly); h != nil {
 				rt.metrics.Hedge()
 				pending++
-				rt.forwardAsync(ctx, h, body, hdr, true, hprobe, outcomes)
+				launch(h, hprobe, true)
 			}
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return outcome[R]{}, ctx.Err()
 		}
 	}
-	return nil, firstErr
+	return outcome[R]{}, firstErr
+}
+
+// try runs one attempt on b and feeds its outcome to b's breaker and
+// counters — the one place either transport resolves a breaker. A
+// success (which includes relayed 4xx and 429 replies: the backend is
+// alive and reasoning) closes the breaker; a failure is the backend's
+// fault unless ctx already ended, in which case the attempt was
+// abandoned (client gone) and must not poison the breaker. probe
+// means the attempt holds b's half-open probe: an abandoned probe is
+// handed back with Release, otherwise the breaker would wedge
+// half-open, Allow would refuse forever, and the backend would never
+// see traffic again.
+func try[R any](ctx context.Context, b *backend, probe bool, attempt func(context.Context, *backend) (R, error)) (R, error) {
+	b.inflight.Add(1)
+	defer b.inflight.Add(-1)
+	b.requests.Add(1)
+	res, err := attempt(ctx, b)
+	switch {
+	case err == nil:
+		b.breaker.Success()
+	case ctx.Err() == nil:
+		b.failures.Add(1)
+		b.breaker.Failure()
+	case probe:
+		b.breaker.Release()
+	}
+	return res, err
 }
 
 // pick selects the next backend. Half-open probes come first: a ready
@@ -210,23 +246,24 @@ func (rt *Router) race(ctx context.Context, body []byte, hdr http.Header, tried 
 // even while healthy peers could absorb everything (and at most one
 // request per cooldown is risked; a failed probe retries elsewhere).
 // Otherwise: power-of-two-choices on in-flight count among ready
-// backends with closed breakers. The second return is true when the
-// pick claimed a half-open probe — the forward MUST then resolve the
-// breaker (Success, Failure, or Release). Returns nil when nothing is
-// routable (brownout).
-func (rt *Router) pick(tried map[*backend]bool) (*backend, bool) {
+// backends with closed breakers. Backends in tried, and with wireOnly
+// those without a SHMDWIRE address, are skipped. The second return is
+// true when the pick claimed a half-open probe — the attempt MUST then
+// run through try, which resolves the breaker. Returns nil when
+// nothing is routable (brownout).
+func (rt *Router) pick(tried map[*backend]bool, wireOnly bool) (*backend, bool) {
 	var avail []*backend
 	for _, b := range rt.backends {
-		if tried[b] || !b.ready.Load() {
+		if tried[b] || !b.ready.Load() || (wireOnly && b.wire == nil) {
 			continue
 		}
 		if b.breaker.State() == core.BreakerClosed {
 			avail = append(avail, b)
 			continue
 		}
-		// Allow claims the single half-open probe; the forward's outcome
-		// closes the breaker, re-opens it with doubled cooldown, or hands
-		// the probe back if the attempt is abandoned.
+		// Allow claims the single half-open probe; try closes the
+		// breaker, re-opens it with doubled cooldown, or hands the probe
+		// back if the attempt is abandoned.
 		if b.breaker.Allow() {
 			return b, true
 		}
@@ -254,16 +291,6 @@ func (rt *Router) pick(tried map[*backend]bool) (*backend, bool) {
 	}
 }
 
-// forwardAsync starts one tracked attempt goroutine.
-func (rt *Router) forwardAsync(ctx context.Context, b *backend, body []byte, hdr http.Header, hedge, probe bool, out chan<- attemptOutcome) {
-	rt.reqWG.Add(1)
-	go func() {
-		defer rt.reqWG.Done()
-		res, err := rt.forward(ctx, b, body, hdr, probe)
-		out <- attemptOutcome{res: res, hedge: hedge, err: err}
-	}()
-}
-
 // forwardHeaders are the request headers the router relays to the
 // backend; everything else is dropped (hop-by-hop semantics).
 // X-Tenant rides through verbatim — the backend's registry is the
@@ -272,82 +299,38 @@ func (rt *Router) forwardAsync(ctx context.Context, b *backend, body []byte, hdr
 // router's own brownout shedding.
 var forwardHeaders = []string{"Content-Type", "X-Detect-Deadline-Ms", "X-Tenant", "X-Tenant-Class"}
 
-// forward sends one request to one backend and classifies the outcome
-// for its breaker: transport errors, 5xx, and over-cap replies are
-// failures, everything else — including 4xx and 429, which prove the
-// backend is alive and reasoning — is a success. When probe is set
-// this attempt holds the backend's half-open probe and every exit
-// path resolves it: Success or Failure where the outcome is the
-// backend's doing, Release where the attempt was abandoned (cancelled
-// context) — otherwise the breaker would wedge half-open, Allow would
-// refuse forever, and the backend would never see traffic again.
-func (rt *Router) forward(ctx context.Context, b *backend, body []byte, hdr http.Header, probe bool) (*proxyResult, error) {
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
-	b.requests.Add(1)
-	resolved := false
-	if probe {
-		defer func() {
-			if !resolved {
-				b.breaker.Release()
+// forwardHTTP is the HTTP transport's attempt: POST the buffered body
+// to one backend's /v1/detect. Transport errors, 5xx, and over-cap
+// replies fail the attempt; everything else relays verbatim.
+func (rt *Router) forwardHTTP(body []byte, hdr http.Header) func(context.Context, *backend) (*proxyResult, error) {
+	return func(ctx context.Context, b *backend) (*proxyResult, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/detect", bytes.NewReader(body))
+		if err != nil {
+			return nil, fmt.Errorf("route: %s: %w", b.name, err)
+		}
+		for _, h := range forwardHeaders {
+			if v := hdr.Get(h); v != "" {
+				req.Header.Set(h, v)
 			}
-		}()
-	}
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/v1/detect", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("route: %s: %w", b.name, err)
-	}
-	for _, h := range forwardHeaders {
-		if v := hdr.Get(h); v != "" {
-			req.Header.Set(h, v)
 		}
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			// A connect failure is the backend's fault; a cancelled
-			// context is the client's and must not poison the breaker.
-			resolved = true
-			rt.noteFailure(b)
+		resp, err := rt.client.Do(req)
+		if err != nil {
+			return nil, fmt.Errorf("route: %s: %w", b.name, err)
 		}
-		return nil, fmt.Errorf("route: %s: %w", b.name, err)
-	}
-	defer resp.Body.Close()
-	// One byte past the cap distinguishes "fits exactly" from "bigger":
-	// an over-cap reply must fail the attempt, never be truncated and
-	// relayed with the backend's success status as if it were whole.
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1))
-	if err != nil {
-		if ctx.Err() == nil {
-			resolved = true
-			rt.noteFailure(b)
+		defer resp.Body.Close()
+		// One byte past the cap distinguishes "fits exactly" from
+		// "bigger": an over-cap reply must fail the attempt, never be
+		// truncated and relayed with the backend's success status as if
+		// it were whole.
+		respBody, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1))
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("route: %s: reading reply: %w", b.name, err)
+		case int64(len(respBody)) > rt.cfg.MaxBodyBytes:
+			return nil, fmt.Errorf("route: %s reply exceeds %d bytes", b.name, rt.cfg.MaxBodyBytes)
+		case resp.StatusCode >= 500:
+			return nil, fmt.Errorf("route: %s answered %d", b.name, resp.StatusCode)
 		}
-		return nil, fmt.Errorf("route: %s: reading reply: %w", b.name, err)
+		return &proxyResult{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: respBody}, nil
 	}
-	if int64(len(respBody)) > rt.cfg.MaxBodyBytes {
-		resolved = true
-		rt.noteFailure(b)
-		return nil, fmt.Errorf("route: %s reply exceeds %d bytes", b.name, rt.cfg.MaxBodyBytes)
-	}
-	if resp.StatusCode >= 500 {
-		resolved = true
-		rt.noteFailure(b)
-		return nil, fmt.Errorf("route: %s answered %d", b.name, resp.StatusCode)
-	}
-	resolved = true
-	b.breaker.Success()
-	return &proxyResult{
-		status:  resp.StatusCode,
-		ctype:   resp.Header.Get("Content-Type"),
-		body:    respBody,
-		backend: b.name,
-	}, nil
-}
-
-// noteFailure feeds one failed attempt to the backend's breaker and
-// counters.
-func (rt *Router) noteFailure(b *backend) {
-	b.failures.Add(1)
-	b.breaker.Failure()
 }

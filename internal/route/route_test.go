@@ -165,14 +165,14 @@ func TestPickLoadAware(t *testing.T) {
 	rt := newTestRouter(t, Config{}, b0, b1)
 	rt.backends[0].inflight.Store(5)
 	for i := 0; i < 10; i++ {
-		if got, _ := rt.pick(map[*backend]bool{}); got != rt.backends[1] {
+		if got, _ := rt.pick(map[*backend]bool{}, false); got != rt.backends[1] {
 			t.Fatalf("pick chose the loaded backend (inflight 5 vs 0)")
 		}
 	}
 	rt.backends[0].inflight.Store(0)
 	rt.backends[1].inflight.Store(3)
 	for i := 0; i < 10; i++ {
-		if got, _ := rt.pick(map[*backend]bool{}); got != rt.backends[0] {
+		if got, _ := rt.pick(map[*backend]bool{}, false); got != rt.backends[0] {
 			t.Fatalf("pick chose the loaded backend (inflight 0 vs 3)")
 		}
 	}
@@ -187,7 +187,7 @@ func TestPickPowerOfTwo(t *testing.T) {
 	rt.backends[0].inflight.Store(100)
 	picks := map[string]int{}
 	for i := 0; i < 300; i++ {
-		b, _ := rt.pick(map[*backend]bool{})
+		b, _ := rt.pick(map[*backend]bool{}, false)
 		picks[b.name]++
 	}
 	// The loaded backend can only win when sampled against itself —
@@ -207,12 +207,12 @@ func TestPickExcludesTried(t *testing.T) {
 	rt := newTestRouter(t, Config{}, b0, b1)
 	tried := map[*backend]bool{rt.backends[0]: true}
 	for i := 0; i < 10; i++ {
-		if got, _ := rt.pick(tried); got != rt.backends[1] {
+		if got, _ := rt.pick(tried, false); got != rt.backends[1] {
 			t.Fatal("pick returned a tried backend")
 		}
 	}
 	tried[rt.backends[1]] = true
-	if got, _ := rt.pick(tried); got != nil {
+	if got, _ := rt.pick(tried, false); got != nil {
 		t.Error("pick invented a backend with all tried")
 	}
 }
@@ -296,34 +296,41 @@ func TestRetryOnConnectError(t *testing.T) {
 }
 
 // TestHedgeWinsOnSlowPrimary: the primary stalls past HedgeAfter, the
-// hedge lands on the second backend, and its verdict is served first.
+// hedge lands on the second backend, and its verdict is served first —
+// over both client transports.
 func TestHedgeWinsOnSlowPrimary(t *testing.T) {
-	slow, fast := newFakeBackend(t, "slow"), newFakeBackend(t, "fast")
-	slow.delay.Store(int64(2 * time.Second))
-	fast.delay.Store(0)
-	rt := newTestRouter(t, Config{HedgeAfter: 10 * time.Millisecond}, slow, fast)
-	// Force the primary pick onto `slow` by loading `fast`.
-	rt.backends[1].inflight.Add(10)
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- postDetect(t, rt, `{}`) }()
-	var rec *httptest.ResponseRecorder
-	select {
-	case rec = <-done:
-	case <-time.After(time.Second):
-		t.Fatal("hedged request still waiting on the slow primary")
-	}
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d %s", rec.Code, rec.Body)
-	}
-	var reply struct {
-		Backend string `json:"backend"`
-	}
-	json.Unmarshal(rec.Body.Bytes(), &reply)
-	if reply.Backend != "fast" {
-		t.Errorf("verdict came from %q, want the hedge backend", reply.Backend)
-	}
-	if rt.metrics.Hedges() != 1 || rt.metrics.HedgeWins() != 1 {
-		t.Errorf("hedges=%d wins=%d, want 1/1", rt.metrics.Hedges(), rt.metrics.HedgeWins())
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			slow, fast := newFakeWireBackend(t, "slow"), newFakeWireBackend(t, "fast")
+			slow.delay.Store(int64(2 * time.Second))
+			rt := tr.route(t, Config{HedgeAfter: 10 * time.Millisecond}, slow, fast)
+			// Force the primary pick onto `slow` by loading `fast`.
+			rt.backends[1].inflight.Add(10)
+			type reply struct {
+				backend string
+				code    int
+			}
+			done := make(chan reply, 1)
+			go func() {
+				name, code := rt.detect()
+				done <- reply{name, code}
+			}()
+			var got reply
+			select {
+			case got = <-done:
+			case <-time.After(time.Second):
+				t.Fatal("hedged request still waiting on the slow primary")
+			}
+			if got.code != http.StatusOK {
+				t.Fatalf("status = %d", got.code)
+			}
+			if got.backend != "fast" {
+				t.Errorf("verdict came from %q, want the hedge backend", got.backend)
+			}
+			if rt.metrics.Hedges() != 1 || rt.metrics.HedgeWins() != 1 {
+				t.Errorf("hedges=%d wins=%d, want 1/1", rt.metrics.Hedges(), rt.metrics.HedgeWins())
+			}
+		})
 	}
 }
 
@@ -460,83 +467,87 @@ func TestBodyTooLarge(t *testing.T) {
 // the probe back. A leaked probe wedges the breaker half-open — Allow
 // refuses forever — and the backend never serves again.
 func TestHalfOpenProbeReleasedOnCancel(t *testing.T) {
-	fb := newFakeBackend(t, "b0")
-	clock := time.Unix(0, 0)
-	rt := newTestRouter(t, Config{
-		Breaker: core.BreakerConfig{
-			Threshold: 1,
-			Cooldown:  time.Minute,
-			Now:       func() time.Time { return clock },
-		},
-	}, fb)
-	b := rt.backends[0]
-	b.breaker.Failure() // threshold 1: trips open
-	clock = clock.Add(time.Minute)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			fb := newFakeWireBackend(t, "b0")
+			clock := time.Unix(0, 0)
+			rt := tr.route(t, Config{
+				Breaker: core.BreakerConfig{
+					Threshold: 1,
+					Cooldown:  time.Minute,
+					Now:       func() time.Time { return clock },
+				},
+			}, fb)
+			b := rt.backends[0]
+			b.breaker.Failure() // threshold 1: trips open
+			clock = clock.Add(time.Minute)
 
-	picked, probe := rt.pick(map[*backend]bool{})
-	if picked != b || !probe {
-		t.Fatalf("pick = %v probe=%v, want the half-open probe claimed", picked, probe)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := rt.forward(ctx, b, []byte(`{}`), http.Header{}, true); err == nil {
-		t.Fatal("cancelled forward reported success")
-	}
-	snap := b.breaker.Snapshot()
-	if snap.State != core.BreakerOpen {
-		t.Fatalf("breaker = %v after abandoned probe, want open (released)", snap.State)
-	}
-	if snap.Reopens != 0 {
-		t.Errorf("abandoned probe counted as a reopen (%d)", snap.Reopens)
-	}
-	if snap.Cooldown != time.Minute {
-		t.Errorf("abandoned probe changed the cooldown to %v", snap.Cooldown)
-	}
+			picked, probe := rt.pick(map[*backend]bool{}, false)
+			if picked != b || !probe {
+				t.Fatalf("pick = %v probe=%v, want the half-open probe claimed", picked, probe)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := tr.try(t, ctx, rt.Router, b, probe); err == nil {
+				t.Fatal("cancelled attempt reported success")
+			}
+			snap := b.breaker.Snapshot()
+			if snap.State != core.BreakerOpen {
+				t.Fatalf("breaker = %v after abandoned probe, want open (released)", snap.State)
+			}
+			if snap.Reopens != 0 {
+				t.Errorf("abandoned probe counted as a reopen (%d)", snap.Reopens)
+			}
+			if snap.Cooldown != time.Minute {
+				t.Errorf("abandoned probe changed the cooldown to %v", snap.Cooldown)
+			}
 
-	// The backend re-earns traffic on the next cooldown: a fresh probe
-	// is granted and the healed backend closes its breaker.
-	clock = clock.Add(time.Minute)
-	if rec := postDetect(t, rt, `{}`); rec.Code != http.StatusOK {
-		t.Fatalf("post-release dispatch = %d, want 200", rec.Code)
-	}
-	if st := b.breaker.State(); st != core.BreakerClosed {
-		t.Errorf("breaker = %v after healed probe, want closed", st)
+			// The backend re-earns traffic on the next cooldown: a fresh
+			// probe is granted and the healed backend closes its breaker.
+			clock = clock.Add(time.Minute)
+			if _, code := rt.detect(); code != http.StatusOK {
+				t.Fatalf("post-release dispatch = %d, want 200", code)
+			}
+			if st := b.breaker.State(); st != core.BreakerClosed {
+				t.Errorf("breaker = %v after healed probe, want closed", st)
+			}
+		})
 	}
 }
 
 // TestOversizedReplyNotTruncated: a backend reply past MaxBodyBytes is
 // a failed attempt — retried onto a fresh backend or surfaced as 502 —
-// never truncated and relayed with the backend's 200.
+// never truncated and relayed with the backend's success status, over
+// both client transports.
 func TestOversizedReplyNotTruncated(t *testing.T) {
-	big := newFakeBackend(t, "big")
-	big.replySize.Store(100)
-	solo := newTestRouter(t, Config{MaxBodyBytes: 64}, big)
-	if rec := postDetect(t, solo, `{}`); rec.Code != http.StatusBadGateway {
-		t.Fatalf("oversized reply relayed as %d (body %d bytes), want 502", rec.Code, rec.Body.Len())
-	}
-	if solo.backends[0].failures.Load() == 0 {
-		t.Error("oversized reply not counted as a backend failure")
-	}
+	const relayCap = 4096
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			big := newFakeWireBackend(t, "big")
+			big.replySize.Store(2 * relayCap)
+			solo := tr.route(t, Config{MaxBodyBytes: relayCap}, big)
+			if _, code := solo.detect(); code != http.StatusBadGateway {
+				t.Fatalf("oversized reply relayed as %d, want 502", code)
+			}
+			if solo.backends[0].failures.Load() == 0 {
+				t.Error("oversized reply not counted as a backend failure")
+			}
 
-	// With a sane peer available, the retry lands there and the client
-	// sees its complete reply.
-	big2, sane := newFakeBackend(t, "big2"), newFakeBackend(t, "sane")
-	big2.replySize.Store(100)
-	rt := newTestRouter(t, Config{MaxBodyBytes: 64, MaxRetries: 1}, big2, sane)
-	// Pin the primary pick onto the oversized backend.
-	rt.backends[1].inflight.Add(10)
-	rec := postDetect(t, rt, `{}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d %s, want 200 from the retry", rec.Code, rec.Body)
-	}
-	var reply struct {
-		Backend string `json:"backend"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
-		t.Fatalf("relayed body is not intact JSON: %v (%q)", err, rec.Body.String())
-	}
-	if reply.Backend != "sane" {
-		t.Errorf("verdict came from %q, want the sane backend", reply.Backend)
+			// With a sane peer available, the retry lands there and the
+			// client sees its complete reply.
+			big2, sane := newFakeWireBackend(t, "big2"), newFakeWireBackend(t, "sane")
+			big2.replySize.Store(2 * relayCap)
+			rt := tr.route(t, Config{MaxBodyBytes: relayCap, MaxRetries: 1}, big2, sane)
+			// Pin the primary pick onto the oversized backend.
+			rt.backends[1].inflight.Add(10)
+			name, code := rt.detect()
+			if code != http.StatusOK {
+				t.Fatalf("status = %d, want 200 from the retry", code)
+			}
+			if name != "sane" {
+				t.Errorf("verdict came from %q, want the sane backend intact", name)
+			}
+		})
 	}
 }
 

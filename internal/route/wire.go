@@ -6,11 +6,12 @@ package route
 //
 // DETECT and VERDICT payloads are relayed verbatim — the router
 // re-correlates frames but never re-encodes them, so the binary path
-// through the fleet costs zero marshalling at the middle hop. Backend
-// choice reuses the exact machinery of the HTTP path: the prober's
+// through the fleet costs zero marshalling at the middle hop. Both
+// transports run the one dispatch loop (dispatch.go): the prober's
 // rotation flag, power-of-two-choices on in-flight, per-backend
-// breakers with half-open probe claims, hedging, and bounded retry —
-// both transports feed one view of each backend's health.
+// breakers with half-open probe claims, hedging, and bounded retry;
+// this file supplies only the SHMDWIRE attempt, so both transports
+// feed one view of each backend's health.
 //
 // Upstream connections are pooled with exclusive checkout: one relay
 // owns one connection for the life of one request. That keeps the
@@ -99,231 +100,78 @@ func (rt *Router) closeWirePools() {
 	}
 }
 
-// wireReply is one backend's relayed response frame.
-type wireReply struct {
-	// frameType is VERDICT or ERROR; payload is relayed verbatim.
-	frameType wire.FrameType
-	payload   []byte
-	backend   string
-	hedged    bool
-}
-
-// wireAttempt is one upstream attempt's result.
-type wireAttempt struct {
-	res   *wireReply
-	hedge bool
-	err   error
-}
-
-// dispatchWire runs the retry loop for one relayed DETECT payload,
-// mirroring the HTTP dispatch: each round makes one (possibly hedged)
-// attempt on backends not yet tried; connect errors and 5xx-class
-// ERROR frames earn another round after equal-jitter backoff.
-func (rt *Router) dispatchWire(ctx context.Context, payload []byte) (*wireReply, error) {
-	tried := make(map[*backend]bool, len(rt.backends))
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		res, err := rt.raceWire(ctx, payload, tried)
-		if err == nil {
-			return res, nil
+// forwardWire is the SHMDWIRE transport's attempt: relay one DETECT
+// payload to one backend over a pooled connection and wait for its
+// correlated VERDICT or ERROR frame, bounded by cfg.Timeout and cut
+// short when ctx ends. Transport failures, over-cap replies, and
+// 5xx-class ERROR frames fail the attempt; a VERDICT or any other
+// ERROR relays verbatim.
+func (rt *Router) forwardWire(payload []byte) func(context.Context, *backend) (wire.Frame, error) {
+	return func(ctx context.Context, b *backend) (wire.Frame, error) {
+		if err := ctx.Err(); err != nil {
+			return wire.Frame{}, err
 		}
-		if errors.Is(err, errBrownout) {
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, err
+		c, err := b.wire.get()
+		if err != nil {
+			return wire.Frame{}, fmt.Errorf("route: %s: wire dial: %w", b.name, err)
 		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		lastErr = err
-		if attempt >= rt.cfg.MaxRetries {
-			return nil, lastErr
-		}
-		rt.metrics.Retry()
-		rt.cfg.Sleep(rt.jitter.Backoff(rt.cfg.RetryBackoff, rt.cfg.MaxRetryBackoff, attempt))
-	}
-}
-
-// raceWire makes one dispatch attempt with optional hedging, exactly
-// like the HTTP race. Only backends with a wire address participate.
-func (rt *Router) raceWire(ctx context.Context, payload []byte, tried map[*backend]bool) (*wireReply, error) {
-	primary, probe := rt.pickWire(tried)
-	if primary == nil {
-		return nil, errBrownout
-	}
-	tried[primary] = true
-	outcomes := make(chan wireAttempt, 2)
-	rt.wireForwardAsync(ctx, primary, payload, false, probe, outcomes)
-
-	var hedgeC <-chan time.Time
-	if rt.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(rt.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	pending := 1
-	var firstErr error
-	for pending > 0 {
-		select {
-		case out := <-outcomes:
-			pending--
-			if out.err == nil {
-				out.res.hedged = out.hedge
-				return out.res, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if h, hprobe := rt.pickWire(tried); h != nil {
-				tried[h] = true
-				rt.metrics.Hedge()
-				pending++
-				rt.wireForwardAsync(ctx, h, payload, true, hprobe, outcomes)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return nil, firstErr
-}
-
-// pickWire is pick restricted to backends that speak SHMDWIRE.
-func (rt *Router) pickWire(tried map[*backend]bool) (*backend, bool) {
-	wireless := make(map[*backend]bool, len(rt.backends))
-	for _, b := range rt.backends {
-		if b.wire == nil {
-			wireless[b] = true
-		}
-	}
-	if len(wireless) == 0 {
-		return rt.pick(tried)
-	}
-	merged := make(map[*backend]bool, len(tried)+len(wireless))
-	for b := range tried {
-		merged[b] = true
-	}
-	for b := range wireless {
-		merged[b] = true
-	}
-	return rt.pick(merged)
-}
-
-// wireForwardAsync starts one tracked upstream attempt.
-func (rt *Router) wireForwardAsync(ctx context.Context, b *backend, payload []byte, hedge, probe bool, out chan<- wireAttempt) {
-	rt.reqWG.Add(1)
-	go func() {
-		defer rt.reqWG.Done()
-		res, err := rt.wireForward(ctx, b, payload, probe)
-		out <- wireAttempt{res: res, hedge: hedge, err: err}
-	}()
-}
-
-// wireForward relays one DETECT payload to one backend over a pooled
-// connection and waits for its correlated VERDICT or ERROR, bounded by
-// cfg.Timeout. Outcome classification mirrors the HTTP forward:
-// transport failures and 5xx-class ERROR frames are breaker failures;
-// everything else — including 4xx and 429, which prove the backend is
-// alive and reasoning — is a success and relays to the client. A
-// half-open probe claim is always resolved on every exit path.
-func (rt *Router) wireForward(ctx context.Context, b *backend, payload []byte, probe bool) (*wireReply, error) {
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
-	b.requests.Add(1)
-	resolved := false
-	if probe {
+		c.SetReadDeadline(time.Now().Add(rt.cfg.Timeout))
+		// A cancelled request stops waiting on the backend at once; the
+		// connection it cut short is closed, never pooled.
+		stop := context.AfterFunc(ctx, func() { c.SetReadDeadline(time.Now()) })
+		// reuse flips true only after a clean, fully-consumed exchange on
+		// a connection the backend has not announced it is draining.
+		reuse, goaway := false, false
 		defer func() {
-			if !resolved {
-				b.breaker.Release()
+			if stop() && reuse && !goaway {
+				c.SetReadDeadline(time.Time{})
+				b.wire.put(c)
+			} else {
+				c.Close()
 			}
 		}()
-	}
 
-	c, err := b.wire.get()
-	if err != nil {
-		if ctx.Err() == nil {
-			resolved = true
-			rt.noteFailure(b)
+		corr := rt.wireCorr.Add(1)
+		if err := c.WriteFrame(wire.Frame{Type: wire.FrameDetect, Corr: corr, Payload: payload}); err != nil {
+			return wire.Frame{}, fmt.Errorf("route: %s: wire send: %w", b.name, err)
 		}
-		return nil, fmt.Errorf("route: %s: wire dial: %w", b.name, err)
-	}
-	// reuse flips true only after a clean, fully-consumed exchange on a
-	// connection the backend has not announced it is draining.
-	reuse := false
-	goaway := false
-	defer func() {
-		if reuse && !goaway {
-			c.SetReadDeadline(time.Time{})
-			b.wire.put(c)
-		} else {
-			c.Close()
-		}
-	}()
-
-	corr := rt.wireCorr.Add(1)
-	c.SetReadDeadline(time.Now().Add(rt.cfg.Timeout))
-	if err := c.WriteFrame(wire.Frame{Type: wire.FrameDetect, Corr: corr, Payload: payload}); err != nil {
-		if ctx.Err() == nil {
-			resolved = true
-			rt.noteFailure(b)
-		}
-		return nil, fmt.Errorf("route: %s: wire send: %w", b.name, err)
-	}
-	for {
-		f, err := c.ReadFrame()
-		if err != nil {
-			var tooBig *wire.TooLargeError
-			if errors.As(err, &tooBig) {
-				if tooBig.Corr != corr {
-					continue
+		for {
+			f, err := c.ReadFrame()
+			if err != nil {
+				var tooBig *wire.TooLargeError
+				if !errors.As(err, &tooBig) {
+					return wire.Frame{}, fmt.Errorf("route: %s: wire read: %w", b.name, err)
 				}
-				// The backend's reply exceeds the relay cap — the wire twin
-				// of an over-cap HTTP reply.
-				resolved = true
-				rt.noteFailure(b)
-				return nil, fmt.Errorf("route: %s reply exceeds %d bytes", b.name, rt.cfg.MaxBodyBytes)
+				if tooBig.Corr == corr {
+					// The wire twin of an over-cap HTTP reply.
+					return wire.Frame{}, fmt.Errorf("route: %s reply exceeds %d bytes", b.name, rt.cfg.MaxBodyBytes)
+				}
+				continue
 			}
-			if ctx.Err() == nil {
-				resolved = true
-				rt.noteFailure(b)
+			if f.Type == wire.FrameGoAway {
+				// Finish this exchange, then retire the connection.
+				goaway = true
+				continue
 			}
-			return nil, fmt.Errorf("route: %s: wire read: %w", b.name, err)
-		}
-		if f.Type == wire.FrameGoAway {
-			// Finish this exchange, then retire the connection.
-			goaway = true
-			continue
-		}
-		if f.Corr != corr {
-			// HELLO from a fresh dial, stray PONGs: not ours.
-			continue
-		}
-		switch f.Type {
-		case wire.FrameVerdict:
-			resolved = true
-			b.breaker.Success()
-			reuse = true
-			return &wireReply{frameType: wire.FrameVerdict, payload: f.Payload, backend: b.name}, nil
-		case wire.FrameError:
-			e, decErr := wire.DecodeErrorFrame(f.Payload)
-			if decErr != nil {
-				resolved = true
-				rt.noteFailure(b)
-				return nil, fmt.Errorf("route: %s: undecodable error frame: %w", b.name, decErr)
+			if f.Corr != corr {
+				// HELLO from a fresh dial, stray PONGs: not ours.
+				continue
 			}
-			if e.Code >= 500 {
-				resolved = true
-				rt.noteFailure(b)
-				return nil, fmt.Errorf("route: %s answered %d: %s", b.name, e.Code, e.Msg)
+			switch f.Type {
+			case wire.FrameVerdict:
+				reuse = true
+				return f, nil
+			case wire.FrameError:
+				e, err := wire.DecodeErrorFrame(f.Payload)
+				if err != nil {
+					return wire.Frame{}, fmt.Errorf("route: %s: undecodable error frame: %w", b.name, err)
+				}
+				if e.Code >= 500 {
+					return wire.Frame{}, fmt.Errorf("route: %s answered %d: %s", b.name, e.Code, e.Msg)
+				}
+				reuse = true
+				return f, nil
 			}
-			resolved = true
-			b.breaker.Success()
-			reuse = true
-			return &wireReply{frameType: wire.FrameError, payload: f.Payload, backend: b.name}, nil
-		default:
-			continue
 		}
 	}
 }
@@ -552,7 +400,7 @@ func (rt *Router) handleWireClient(nc net.Conn) {
 // fleet and writes the winning reply back under the client's
 // correlation id. Failure mapping mirrors the HTTP failDetect.
 func (rt *Router) relayWireDetect(ctx context.Context, wc *routerWireConn, f wire.Frame) {
-	res, err := rt.dispatchWire(ctx, f.Payload)
+	out, err := dispatch(ctx, rt, true, rt.forwardWire(f.Payload))
 	if err != nil {
 		switch {
 		case ctx.Err() != nil:
@@ -568,13 +416,14 @@ func (rt *Router) relayWireDetect(ctx context.Context, wc *routerWireConn, f wir
 		}
 		return
 	}
-	if res.hedged {
+	if out.hedged {
 		rt.metrics.HedgeWin()
 	}
-	if res.frameType == wire.FrameVerdict {
+	res := out.res
+	if res.Type == wire.FrameVerdict {
 		rt.metrics.Request(200)
-	} else if e, decErr := wire.DecodeErrorFrame(res.payload); decErr == nil {
+	} else if e, decErr := wire.DecodeErrorFrame(res.Payload); decErr == nil {
 		rt.metrics.Request(int(e.Code))
 	}
-	wc.c.WriteFrame(wire.Frame{Type: res.frameType, Corr: f.Corr, Payload: res.payload})
+	wc.c.WriteFrame(wire.Frame{Type: res.Type, Corr: f.Corr, Payload: res.Payload})
 }

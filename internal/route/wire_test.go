@@ -6,9 +6,11 @@ package route
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,13 +37,14 @@ type fakeWireBackend struct {
 
 	verdict []byte // canned VERDICT payload carrying the backend name
 
-	mu    sync.Mutex
-	conns []net.Conn
+	mu     sync.Mutex
+	conns  []net.Conn
+	closed chan struct{} // closed at cleanup; cuts scripted delays short
 }
 
 func newFakeWireBackend(t *testing.T, name string) *fakeWireBackend {
 	t.Helper()
-	fw := &fakeWireBackend{fakeBackend: newFakeBackend(t, name), name: name}
+	fw := &fakeWireBackend{fakeBackend: newFakeBackend(t, name), name: name, closed: make(chan struct{})}
 	var err error
 	fw.verdict, err = wire.AppendVerdict(nil, wire.Verdict{
 		Session: 1,
@@ -59,6 +62,7 @@ func newFakeWireBackend(t *testing.T, name string) *fakeWireBackend {
 	}
 	go fw.accept()
 	t.Cleanup(func() {
+		close(fw.closed)
 		fw.ln.Close()
 		fw.mu.Lock()
 		conns := fw.conns
@@ -107,6 +111,14 @@ func (fw *fakeWireBackend) serveConn(nc net.Conn) {
 			continue
 		}
 		fw.wireHits.Add(1)
+		if d := fw.delay.Load(); d > 0 {
+			select {
+			case <-time.After(time.Duration(d)):
+			case <-fw.closed:
+				c.Close()
+				return
+			}
+		}
 		if fw.goaway.Load() {
 			c.WriteFrame(wire.Frame{Type: wire.FrameGoAway, Payload: wire.AppendGoAway(nil, wire.GoAway{Msg: "backend draining"})})
 		}
@@ -114,7 +126,11 @@ func (fw *fakeWireBackend) serveConn(nc net.Conn) {
 			c.WriteError(f.Corr, wire.ErrorCode(code), "scripted wire failure")
 			continue
 		}
-		c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: f.Corr, Payload: fw.verdict})
+		payload := fw.verdict
+		if n := fw.replySize.Load(); n > 0 {
+			payload = make([]byte, n)
+		}
+		c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: f.Corr, Payload: payload})
 	}
 }
 
@@ -183,6 +199,77 @@ func dialRouter(t *testing.T, addr string) *sdk.Client {
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl
+}
+
+// routed is a router under test plus one way to send it a detect
+// request: detect reports the answering backend's name, or "" and the
+// status (HTTP) or ERROR code (SHMDWIRE) of a failure — the two share
+// one numbering.
+type routed struct {
+	*Router
+	detect func() (backend string, code int)
+}
+
+// transports table-drives router tests over both client transports.
+// The fake backends speak both; fakeWireBackend's delay and replySize
+// script its binary listener the way fakeBackend's script HTTP.
+var transports = []struct {
+	name  string
+	route func(t *testing.T, cfg Config, fbs ...*fakeWireBackend) routed
+	// try runs one attempt on b through the shared breaker resolution.
+	try func(t *testing.T, ctx context.Context, rt *Router, b *backend, probe bool) error
+}{
+	{
+		name: "http",
+		route: func(t *testing.T, cfg Config, fbs ...*fakeWireBackend) routed {
+			var hb []*fakeBackend
+			for _, fw := range fbs {
+				hb = append(hb, fw.fakeBackend)
+			}
+			rt := newTestRouter(t, cfg, hb...)
+			return routed{rt, func() (string, int) {
+				rec := postDetect(t, rt, `{}`)
+				var reply struct {
+					Backend string `json:"backend"`
+				}
+				json.Unmarshal(rec.Body.Bytes(), &reply)
+				return reply.Backend, rec.Code
+			}}
+		},
+		try: func(t *testing.T, ctx context.Context, rt *Router, b *backend, probe bool) error {
+			_, err := try(ctx, b, probe, rt.forwardHTTP([]byte(`{}`), http.Header{}))
+			return err
+		},
+	},
+	{
+		name: "wire",
+		route: func(t *testing.T, cfg Config, fbs ...*fakeWireBackend) routed {
+			rt := newWireRouter(t, cfg, fbs...)
+			addr, _ := startRouterWire(t, rt)
+			cl := dialRouter(t, addr)
+			req := routeWireRequest(t)
+			return routed{rt, func() (string, int) {
+				v, err := cl.Detect(context.Background(), req)
+				var ef *wire.ErrorFrame
+				switch {
+				case errors.As(err, &ef):
+					return "", int(ef.Code)
+				case err != nil:
+					t.Errorf("wire detect: %v", err)
+					return "", 0
+				}
+				return v.Results[0].ID, http.StatusOK
+			}}
+		},
+		try: func(t *testing.T, ctx context.Context, rt *Router, b *backend, probe bool) error {
+			payload, err := wire.AppendDetectRequest(nil, routeWireRequest(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = try(ctx, b, probe, rt.forwardWire(payload))
+			return err
+		},
+	},
 }
 
 func TestWireBackendsMustBeIndexAligned(t *testing.T) {

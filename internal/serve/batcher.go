@@ -8,26 +8,31 @@ import (
 
 	"shmd/internal/core"
 	"shmd/internal/faults"
+	"shmd/internal/tenant"
 	"shmd/internal/trace"
 )
 
-// The micro-batching serve path: concurrent /v1/detect programs
-// coalesce into lane batches, each served by ONE pool-slot checkout
-// and ONE batched undervolted pass (core.Supervisor.DetectBatch feeding
-// the batch-lane kernels) instead of a slot checkout and a scalar pass
-// per program. Admission control, per-request deadlines, hedged
-// dispatch, and decision tracing all survive unchanged:
+// The micro-batching dispatcher is the server's one dispatch path:
+// concurrent detect programs coalesce into lane batches, each served by
+// ONE pool-slot checkout and ONE batched undervolted pass
+// (core.Supervisor.DetectBatch feeding the batch-lane kernels).
+// MaxBatch <= 1 is the degenerate case: one-lane batches that flush on
+// submit. Admission control, per-request deadlines, class priority,
+// hedged dispatch, and decision tracing hold at every batch size:
 //
 //   - the admission queue token is held by each request's handler for
 //     its whole life, batching wait included;
 //   - a lane whose request deadline expires while the batch forms is
 //     shed at flush time (its handler has already replied 503) and
 //     never occupies a kernel lane;
+//   - with tenancy on, a flush waits at the class gate at the highest
+//     class among its live lanes, so under saturation realtime work
+//     checks out ahead of standard ahead of batch;
 //   - a batch past the hedge budget re-dispatches onto a second idle
-//     slot, first outcome winning, exactly like scalar dispatch;
+//     slot, first outcome winning;
 //   - with a trace sink attached, every lane's verdict records its own
-//     per-lane draw log, replayable through the unchanged scalar
-//     replay path (batched lane scores are bit-identical to scalar).
+//     per-lane draw log, replayable through the scalar replay path
+//     (batched lane scores are bit-identical to scalar).
 type batcher struct {
 	srv  *Server
 	max  int
@@ -45,10 +50,11 @@ type batcher struct {
 // lane is one program awaiting batched detection.
 type lane struct {
 	windows []trace.WindowCounts
-	// tenant is the accounting identity the lane's request was
-	// admitted under (trace provenance; lanes from different tenants
-	// share batches freely).
+	// tenant and class are the identity the lane's request was admitted
+	// under: trace provenance and the class-gate priority (lanes from
+	// different tenants share batches freely).
 	tenant string
+	class  tenant.Class
 	ctx    context.Context
 	enq    time.Time
 	// done receives the lane's outcome; buffered so a flusher delivering
@@ -67,9 +73,18 @@ type laneOutcome struct {
 	err    error
 }
 
+// batchOutcome is a request's assembled verdicts.
+type batchOutcome struct {
+	results []DetectResult
+	// session is the slot that scored the first program.
+	session int
+	// hedge marks an outcome any of whose lanes the hedge runner scored.
+	hedge bool
+}
+
 // newBatcher wires the dispatcher to the server's pool and metrics.
 func newBatcher(srv *Server) *batcher {
-	return &batcher{srv: srv, max: srv.cfg.MaxBatch, wait: srv.cfg.MaxBatchWait}
+	return &batcher{srv: srv, max: max(srv.cfg.MaxBatch, 1), wait: srv.cfg.MaxBatchWait}
 }
 
 // dispatch submits every program as a lane and assembles the request's
@@ -77,40 +92,54 @@ func newBatcher(srv *Server) *batcher {
 // different batches (and thus different slots); the reported session is
 // the first lane's. A request error (deadline, pool closed) aborts the
 // request; verdict-level degradation does not.
-func (b *batcher) dispatch(ctx context.Context, tenantID string, programs []DecodedProgram) (batchOutcome, error) {
-	lanes := make([]*lane, len(programs))
+//
+// With one-lane batches the programs run one after another, in order,
+// so a request's verdicts draw a slot's batch passes in program order
+// exactly as on a single slot; larger batches take every lane at once
+// so they can coalesce.
+func (b *batcher) dispatch(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram) (batchOutcome, error) {
+	lanes := make([]lane, len(programs))
 	now := time.Now()
 	for i, p := range programs {
-		lanes[i] = &lane{windows: p.Windows, tenant: tenantID, ctx: ctx, enq: now, done: make(chan laneOutcome, 1)}
-		b.submit(lanes[i])
+		lanes[i] = lane{windows: p.Windows, tenant: tenantID, class: class, ctx: ctx, enq: now, done: make(chan laneOutcome, 1)}
 	}
 	out := batchOutcome{results: make([]DetectResult, len(programs)), session: -1}
-	for i, ln := range lanes {
-		select {
-		case lo := <-ln.done:
-			if lo.err != nil {
-				return batchOutcome{}, lo.err
-			}
-			if out.session < 0 {
-				out.session = lo.session
-			}
-			out.hedge = out.hedge || lo.hedged
-			conf := Confidence(lo.v.Score, b.srv.threshold, lo.v.Malware)
-			b.srv.observeDecision(lo.model, lo.v.Malware, conf)
-			out.results[i] = DetectResult{
-				ID:          programs[i].ID,
-				Malware:     lo.v.Malware,
-				Score:       lo.v.Score,
-				Confidence:  conf,
-				Unprotected: lo.v.Unprotected,
-				Attempts:    lo.v.Attempts,
-				Windows:     len(programs[i].Windows),
-			}
-		case <-ctx.Done():
-			// The remaining lanes stay in the batcher; the flusher sheds
-			// or completes them into their buffered channels.
-			return batchOutcome{}, ctx.Err()
+	for lo := 0; lo < len(lanes); {
+		hi := len(lanes)
+		if b.max == 1 {
+			hi = lo + 1
 		}
+		for i := lo; i < hi; i++ {
+			b.submit(&lanes[i])
+		}
+		for i := lo; i < hi; i++ {
+			select {
+			case o := <-lanes[i].done:
+				if o.err != nil {
+					return batchOutcome{}, o.err
+				}
+				if out.session < 0 {
+					out.session = o.session
+				}
+				out.hedge = out.hedge || o.hedged
+				conf := Confidence(o.v.Score, b.srv.threshold, o.v.Malware)
+				b.srv.observeDecision(o.model, o.v.Malware, conf)
+				out.results[i] = DetectResult{
+					ID:          programs[i].ID,
+					Malware:     o.v.Malware,
+					Score:       o.v.Score,
+					Confidence:  conf,
+					Unprotected: o.v.Unprotected,
+					Attempts:    o.v.Attempts,
+					Windows:     len(programs[i].Windows),
+				}
+			case <-ctx.Done():
+				// The remaining lanes stay in the batcher; the flusher
+				// sheds or completes them into their buffered channels.
+				return batchOutcome{}, ctx.Err()
+			}
+		}
+		lo = hi
 	}
 	return out, nil
 }
@@ -170,15 +199,15 @@ func (b *batcher) flushAsync(lanes []*lane, reason string) {
 	}()
 }
 
-// flush sheds expired lanes, acquires one slot for the survivors, and
-// runs them as one batch.
+// flush sheds expired lanes, waits at the class gate (tenancy on) and
+// for one pool slot, and runs the survivors as one batch.
 func (b *batcher) flush(lanes []*lane, reason string) {
-	m := b.srv.metrics
-	m.BatchFlush(reason, len(lanes))
+	s := b.srv
+	s.metrics.BatchFlush(reason, len(lanes))
 	now := time.Now()
 	live := lanes[:0]
 	for _, ln := range lanes {
-		m.ObserveBatchWait(now.Sub(ln.enq))
+		s.metrics.ObserveBatchWait(now.Sub(ln.enq))
 		if err := ln.ctx.Err(); err != nil {
 			// The handler already replied (503 on deadline, 499 on a gone
 			// client); the buffered send is bookkeeping for a listener
@@ -188,24 +217,56 @@ func (b *batcher) flush(lanes []*lane, reason string) {
 		}
 		live = append(live, ln)
 	}
-	for len(live) > 0 {
-		slot, err := b.srv.pool.Acquire(live[0].ctx)
-		if err == nil {
-			b.run(slot, live)
+	if s.gate != nil {
+		live = acquire(live, func(ctx context.Context, class tenant.Class) error {
+			return s.gate.Acquire(ctx, class)
+		})
+		if len(live) == 0 {
 			return
+		}
+		defer s.gate.Release()
+		s.metrics.ObserveClassWait(int(topClass(live)), time.Since(now))
+	}
+	var slot *Slot
+	live = acquire(live, func(ctx context.Context, _ tenant.Class) (err error) {
+		slot, err = s.pool.Acquire(ctx)
+		return err
+	})
+	if len(live) > 0 {
+		b.run(slot, live)
+	}
+}
+
+// acquire waits in get under the oldest live lane's context, at the
+// highest class among the live lanes, and returns the lanes still live
+// once get succeeds. A wait that ends with a lane's context fails that
+// lane and keeps waiting for the rest, whose deadlines may still have
+// room; a closed pool fails every lane.
+func acquire(live []*lane, get func(context.Context, tenant.Class) error) []*lane {
+	for len(live) > 0 {
+		err := get(live[0].ctx, topClass(live))
+		if err == nil {
+			return live
 		}
 		if errors.Is(err, ErrPoolClosed) {
 			for _, ln := range live {
 				ln.done <- laneOutcome{err: err}
 			}
-			return
+			return nil
 		}
-		// Acquire gave up because live[0]'s context ended while waiting;
-		// fail that lane and keep acquiring for the rest, whose deadlines
-		// may still have room.
 		live[0].done <- laneOutcome{err: err}
 		live = live[1:]
 	}
+	return nil
+}
+
+// topClass is the highest priority class among lanes.
+func topClass(lanes []*lane) tenant.Class {
+	c := lanes[0].class
+	for _, ln := range lanes[1:] {
+		c = max(c, ln.class)
+	}
+	return c
 }
 
 // batchRun is one runner's outcome for a whole batch.
@@ -218,18 +279,16 @@ type batchRun struct {
 }
 
 // run executes the batch on the acquired slot, hedging onto a second
-// idle slot past the configured budget exactly like scalar dispatch;
-// the first successful outcome fans out to the lanes.
+// idle slot past the configured budget; the first successful outcome
+// fans out to the lanes.
 func (b *batcher) run(primary *Slot, lanes []*lane) {
 	traces := make([][]trace.WindowCounts, len(lanes))
-	tenants := make([]string, len(lanes))
 	for i, ln := range lanes {
 		traces[i] = ln.windows
-		tenants[i] = ln.tenant
 	}
 	// Buffered for every possible runner so a loser's send never blocks.
 	outcomes := make(chan batchRun, 2)
-	b.runDetached(primary, traces, tenants, false, outcomes)
+	b.runDetached(primary, lanes, traces, false, outcomes)
 
 	var hedgeC <-chan time.Time
 	if b.srv.cfg.HedgeAfter > 0 {
@@ -259,7 +318,7 @@ func (b *batcher) run(primary *Slot, lanes []*lane) {
 			if hslot, ok := b.srv.pool.TryAcquire(); ok {
 				b.srv.metrics.Hedge()
 				pending++
-				b.runDetached(hslot, traces, tenants, true, outcomes)
+				b.runDetached(hslot, lanes, traces, true, outcomes)
 			}
 		}
 	}
@@ -272,7 +331,7 @@ func (b *batcher) run(primary *Slot, lanes []*lane) {
 // through the slot's supervisor in a single batched detection, records
 // each lane's provenance when tracing is on, and always releases its
 // own slot — so a hedged loser can finish after the winner replied.
-func (b *batcher) runDetached(slot *Slot, traces [][]trace.WindowCounts, tenants []string, hedge bool, outcomes chan<- batchRun) {
+func (b *batcher) runDetached(slot *Slot, lanes []*lane, traces [][]trace.WindowCounts, hedge bool, outcomes chan<- batchRun) {
 	s := b.srv
 	s.detWG.Add(1)
 	go func() {
@@ -285,7 +344,7 @@ func (b *batcher) runDetached(slot *Slot, traces [][]trace.WindowCounts, tenants
 				if logs != nil && !v.Unprotected {
 					draws = logs[j]
 				}
-				s.traceRecord(slot, traces[j], v, Confidence(v.Score, s.threshold, v.Malware), draws, tenants[j])
+				s.traceRecord(slot, traces[j], v, Confidence(v.Score, s.threshold, v.Malware), draws, lanes[j].tenant)
 			}
 		}
 		s.pool.Release(slot)

@@ -20,6 +20,7 @@ import (
 
 	"shmd/internal/chaos"
 	"shmd/internal/replay"
+	"shmd/internal/tenant"
 	"shmd/internal/trace"
 )
 
@@ -231,13 +232,13 @@ func TestBatchedShedSkipsDetection(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 2; i++ {
-		if _, err := srv.batcher.dispatch(dead, "", progs); !errors.Is(err, context.Canceled) {
+		if _, err := srv.batcher.dispatch(dead, tenant.Batch, "", progs); !errors.Is(err, context.Canceled) {
 			t.Fatalf("dead lane %d: err = %v, want context.Canceled", i, err)
 		}
 	}
 	// The live lane fills the batch (size trigger, the wait timer is
 	// pinned at an hour) and must be the only one detected.
-	out, err := srv.batcher.dispatch(context.Background(), "", progs)
+	out, err := srv.batcher.dispatch(context.Background(), tenant.Batch, "", progs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,25 +450,95 @@ func TestBatchedTraceReplaysBitIdentically(t *testing.T) {
 }
 
 // TestBatchedConfig pins the construction contract: negative MaxBatch
-// is rejected, 0 and 1 leave the scalar path, >1 installs the batcher
-// and defaults the wait.
+// is rejected, 0 and 1 give one-lane batches that flush on submit with
+// no wait, and >1 defaults the wait.
 func TestBatchedConfig(t *testing.T) {
 	if _, err := New(testHMD(t), Config{MaxBatch: -1}); err == nil {
 		t.Error("negative MaxBatch accepted")
 	}
 	for _, mb := range []int{0, 1} {
 		srv := newTestServer(t, Config{MaxBatch: mb})
-		if srv.batcher != nil {
-			t.Errorf("MaxBatch %d installed a batcher", mb)
+		if srv.batcher.max != 1 || srv.batcher.wait != 0 {
+			t.Errorf("MaxBatch %d: batcher max %d wait %v, want one lane, no wait", mb, srv.batcher.max, srv.batcher.wait)
 		}
 		srv.Close()
 	}
 	srv := newTestServer(t, Config{MaxBatch: 16})
-	if srv.batcher == nil {
-		t.Fatal("MaxBatch 16 left the scalar path")
+	if srv.batcher.max != 16 {
+		t.Fatalf("MaxBatch 16: batcher max %d", srv.batcher.max)
 	}
 	if srv.batcher.wait != 2*time.Millisecond {
 		t.Errorf("default MaxBatchWait = %v, want 2ms", srv.batcher.wait)
 	}
 	srv.Close()
+}
+
+// TestBatchedClassPriority pins class-ordered checkout at every batch
+// size: with the pool saturated, a realtime lane is checked out ahead
+// of a batch-class lane that queued before it.
+func TestBatchedClassPriority(t *testing.T) {
+	for _, maxBatch := range []int{1, 16} {
+		t.Run(fmt.Sprintf("maxBatch=%d", maxBatch), func(t *testing.T) {
+			srv := newTestServer(t, Config{
+				Pool:         PoolConfig{Size: 1},
+				MaxBatch:     maxBatch,
+				MaxBatchWait: time.Millisecond,
+				Tenancy: &tenant.Config{Tenants: []tenant.Spec{
+					{ID: "bulk", Class: tenant.Batch},
+					{ID: "live", Class: tenant.Realtime},
+				}},
+			})
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			body := detectBody(t, testWindows(t, trace.Trojan, 0, 4))
+
+			// Saturate: hold the gate's only unit, as a running batch would.
+			if err := srv.gate.Acquire(context.Background(), tenant.Realtime); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			send := func(id string) {
+				defer wg.Done()
+				var resp *http.Response
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect", bytes.NewReader(body))
+				if err == nil {
+					req.Header.Set(tenantHeader, id)
+					resp, err = ts.Client().Do(req)
+				}
+				if err != nil {
+					t.Errorf("%s: %v", id, err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s: status %d", id, resp.StatusCode)
+				}
+			}
+			waitQueued := func(c tenant.Class) {
+				deadline := time.Now().Add(5 * time.Second)
+				for srv.gate.Waiting(c) == 0 {
+					if time.Now().After(deadline) {
+						t.Fatalf("no %s lane queued at the gate", c)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			wg.Add(2)
+			go send("bulk")
+			waitQueued(tenant.Batch)
+			go send("live")
+			waitQueued(tenant.Realtime)
+
+			// The freed unit goes to the realtime flush; the earlier bulk
+			// flush keeps waiting until that batch has run. The gate holds
+			// as many units as the pool has slots, so this is the order
+			// the two lanes are checked out in.
+			srv.gate.Release()
+			if rt, bulk := srv.gate.Waiting(tenant.Realtime), srv.gate.Waiting(tenant.Batch); rt != 0 || bulk != 1 {
+				t.Errorf("after one release: %d realtime, %d batch lanes waiting; want the realtime lane granted first", rt, bulk)
+			}
+			wg.Wait()
+		})
+	}
 }

@@ -47,12 +47,12 @@ type Config struct {
 	// stall a batch for many retry cycles while an idle neighbour would
 	// answer immediately.
 	HedgeAfter time.Duration
-	// MaxBatch enables dynamic micro-batching: programs from concurrent
-	// /v1/detect requests coalesce into lane batches of up to MaxBatch,
+	// MaxBatch bounds dynamic micro-batching: programs from concurrent
+	// detect requests coalesce into lane batches of up to MaxBatch,
 	// each served by ONE slot checkout and ONE batched undervolted pass
 	// through the batch-lane kernels, with per-program verdicts fanned
-	// back out to their requests. 0 or 1 leaves the scalar per-request
-	// dispatch path in place.
+	// back out to their requests. 0 or 1 means one lane per batch,
+	// flushed on submit with no wait.
 	MaxBatch int
 	// MaxBatchWait bounds how long a partial batch waits for more lanes
 	// before flushing (default 2ms when MaxBatch enables batching). The
@@ -143,17 +143,17 @@ type Server struct {
 	// balancers stop routing here while the drain completes, even
 	// though /healthz (liveness) keeps answering for the pool.
 	draining atomic.Bool
-	// batcher coalesces concurrent programs into lane batches when
-	// Config.MaxBatch enables micro-batching (nil = scalar dispatch).
+	// batcher is the one dispatch path: it coalesces concurrent
+	// programs into lane batches of up to Config.MaxBatch (one lane per
+	// batch at MaxBatch <= 1).
 	batcher *batcher
 	// wire tracks live SHMDWIRE connections so a graceful drain can
 	// broadcast GOAWAY and wait for their in-flight detects.
 	wire wireState
 	// tenants answers per-tenant admission (nil = tenancy off).
 	tenants *tenant.Registry
-	// gate orders dequeue by priority class in front of the pool on
-	// the scalar dispatch path (nil = tenancy off; the micro-batcher
-	// keeps FIFO lanes — batching already amortizes the slot).
+	// gate orders batch flushes by priority class in front of the pool
+	// (nil = tenancy off).
 	gate *tenant.Gate
 	// traceTenants filters the trace sink by tenant ID (nil = all).
 	traceTenants map[string]bool
@@ -195,9 +195,7 @@ func New(base *hmd.HMD, cfg Config) (*Server, error) {
 		inflight:  make(chan struct{}, pool.Size()+cfg.QueueDepth),
 		jitter:    backoff.New(seed),
 	}
-	if cfg.MaxBatch > 1 {
-		s.batcher = newBatcher(s)
-	}
+	s.batcher = newBatcher(s)
 	if cfg.Tenancy != nil {
 		if s.tenants, err = tenant.NewRegistry(*cfg.Tenancy); err != nil {
 			pool.Close()
@@ -249,10 +247,9 @@ func (s *Server) Rollout() *rollout { return s.rollout }
 // logf forwards to the pool's configured logger.
 func (s *Server) logf(format string, args ...any) { s.pool.logf(format, args...) }
 
-// observeOutcome records per-model decision metrics for a winning
-// outcome and feeds the rollout controller's drift comparison. Both
-// dispatch paths (scalar and micro-batched) and both transports (HTTP
-// and SHMDWIRE route through the same dispatchers) land here, winner
+// observeDecision records per-model decision metrics for a winning
+// lane and feeds the rollout controller's drift comparison. Every
+// verdict of both transports lands here through the batcher, winner
 // outcomes only — hedge losers are discarded before observation.
 func (s *Server) observeDecision(model uint32, malware bool, confidence float64) {
 	s.metrics.ModelDecision(model, malware)
@@ -276,35 +273,8 @@ func (s *Server) shedHint(w http.ResponseWriter) {
 // echoed (with the resolved accounting identity) on replies.
 const tenantHeader = "X-Tenant"
 
-// admissionLoad is the load signal the shaping rules consume: flat
-// admission-queue occupancy in [0, 1].
-func (s *Server) admissionLoad() float64 {
-	return float64(len(s.queue)) / float64(cap(s.queue))
-}
-
-// admitTenant runs the tenant-QoS decision for one request carrying
-// identity id. Nil when tenancy is off.
-func (s *Server) admitTenant(id string) *tenant.Admission {
-	if s.tenants == nil {
-		return nil
-	}
-	return s.tenants.Admit(id, s.admissionLoad())
-}
-
-// rejectTenant writes the HTTP reply for a refused admission: 403 for
-// an unknown tenant, 429 with a jittered Retry-After for quota and
-// pressure sheds.
-func (s *Server) rejectTenant(w http.ResponseWriter, adm *tenant.Admission) {
-	s.metrics.TenantShed(adm.Tenant, adm.Class.String(), adm.Outcome.String())
-	if adm.Outcome == tenant.Unknown {
-		s.status(w, http.StatusForbidden, fmt.Sprintf("unknown tenant %q", adm.Tenant))
-		return
-	}
-	s.shedHint(w)
-	s.status(w, http.StatusTooManyRequests, fmt.Sprintf("tenant %s over %s limit", adm.Tenant, adm.Outcome))
-}
-
-// handleDetect serves POST /v1/detect.
+// handleDetect serves POST /v1/detect: the HTTP/JSON codec around the
+// detect core.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -312,39 +282,16 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.status(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-
-	// Tenant QoS first: quota, concurrency, and load shaping decide
-	// whether this tenant may submit at all, before the flat queue
-	// decides whether the server has room.
-	var tenantID string
-	var class tenant.Class
-	if adm := s.admitTenant(r.Header.Get(tenantHeader)); adm != nil {
-		defer adm.Release()
-		if !adm.OK() {
-			s.rejectTenant(w, adm)
-			return
-		}
-		tenantID, class = adm.Tenant, adm.Class
-		s.metrics.TenantAccepted(adm.Tenant, adm.Class.String())
-		w.Header().Set(tenantHeader, adm.Tenant)
-	}
-
-	// Admission control before any decode work: shed at the
-	// backpressure limit so overload costs the caller one channel probe.
-	select {
-	case s.queue <- struct{}{}:
-		defer func() { <-s.queue }()
-	default:
-		s.metrics.QueueReject()
-		if s.tenants != nil {
-			s.metrics.TenantShed(tenantID, class.String(), "queue")
-		}
-		s.shedHint(w)
-		s.status(w, http.StatusTooManyRequests, "detection queue full")
+	// Admission before any decode work.
+	tk, err := s.admit(r.Header.Get(tenantHeader))
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
-	s.inflight <- struct{}{}
-	defer func() { <-s.inflight }()
+	defer s.release(tk)
+	if tk.adm != nil {
+		w.Header().Set(tenantHeader, tk.tenantID)
+	}
 
 	body := http.MaxBytesReader(w, r.Body, s.cfg.Limits.MaxBodyBytes)
 	programs, err := DecodeDetectRequest(body, s.cfg.Limits)
@@ -352,40 +299,34 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.status(w, StatusOf(err), err.Error())
 		return
 	}
-
 	deadline, err := requestDeadline(r, s.cfg.DefaultDeadline)
 	if err != nil {
 		s.status(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-
-	var out batchOutcome
-	if s.batcher != nil {
-		out, err = s.batcher.dispatch(ctx, tenantID, programs)
-	} else {
-		out, err = s.dispatch(ctx, class, tenantID, programs)
-	}
+	out, err := s.detect(r.Context(), tk, programs, deadline, start)
 	if err != nil {
-		s.failDetect(w, r, err)
+		s.fail(w, err)
 		return
 	}
-	if out.hedge {
-		s.metrics.HedgeWin()
-	}
-	for _, res := range out.results {
-		s.metrics.Decision(res.Malware, res.Unprotected)
-	}
-	resp := DetectResponse{Results: out.results, Session: out.session, Hedged: out.hedge, Tenant: tenantID}
+	resp := DetectResponse{Results: out.results, Session: out.session, Hedged: out.hedge, Tenant: tk.tenantID}
 	s.metrics.Request(http.StatusOK)
-	s.metrics.Observe(time.Since(start))
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
+}
+
+// fail writes the HTTP reply classify decides for err: the hint rides
+// as a Retry-After header; a gone client is recorded, not answered.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	f := s.classify(err)
+	if f.code == statusClientClosedRequest {
+		s.metrics.Request(f.code)
+		return
+	}
+	if f.hint > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(f.hint))
+	}
+	s.status(w, f.code, f.msg)
 }
 
 // deadlineHeader carries a per-request detection deadline in integer
@@ -407,180 +348,11 @@ func requestDeadline(r *http.Request, def time.Duration) (time.Duration, error) 
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// failDetect maps a dispatch failure to its HTTP reply. Deadline
-// expiry is the server shedding load, not an internal fault: it maps
-// to a 503 with Retry-After, never a 500. A client that went away is
-// recorded under the de-facto 499 with nothing written.
-func (s *Server) failDetect(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case r.Context().Err() != nil:
-		// The client disconnected or cancelled; nobody is listening.
-		s.metrics.Request(statusClientClosedRequest)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.DeadlineExpired()
-		s.shedHint(w)
-		s.status(w, http.StatusServiceUnavailable, "detection deadline exceeded")
-	case errors.Is(err, tenant.ErrQueueFull):
-		s.metrics.QueueReject()
-		s.shedHint(w)
-		s.status(w, http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, ErrPoolClosed):
-		s.status(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		var ae *AcquireError
-		if errors.As(err, &ae) {
-			s.shedHint(w)
-			s.status(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		s.status(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// batchOutcome is one runner's verdict set for a batch.
-type batchOutcome struct {
-	results []DetectResult
-	session int
-	// model is the model version of the slot that produced the outcome
-	// (scalar path; batched lanes observe per-lane instead).
-	model uint32
-	// hedge marks the outcome as produced by the hedge runner.
-	hedge bool
-	err   error
-}
-
-// dispatch runs the batch on an acquired slot, optionally hedging onto
-// a second idle slot after the configured latency budget. The first
-// successful outcome wins; every runner releases its own slot, so a
-// losing runner can finish after the handler has replied without
-// violating the exclusivity invariant. Decision metrics are recorded
-// by the caller for the winner only.
-//
-// With tenancy on, the class-aware gate fronts the pool: free
-// capacity grants immediately, and under saturation realtime lanes
-// dequeue ahead of standard ahead of batch.
-func (s *Server) dispatch(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram) (batchOutcome, error) {
-	if s.gate != nil {
-		wait := time.Now()
-		if err := s.gate.Acquire(ctx, class); err != nil {
-			return batchOutcome{}, err
-		}
-		defer s.gate.Release()
-		s.metrics.ObserveClassWait(int(class), time.Since(wait))
-	}
-	slot, err := s.pool.Acquire(ctx)
-	if err != nil {
-		return batchOutcome{}, err
-	}
-	// Buffered for every possible runner: a loser's send never blocks,
-	// even when the handler has already returned.
-	outcomes := make(chan batchOutcome, 2)
-	s.runDetached(ctx, slot, programs, tenantID, false, outcomes)
-
-	var hedgeC <-chan time.Time
-	if s.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(s.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	pending := 1
-	var firstErr error
-	for pending > 0 {
-		select {
-		case out := <-outcomes:
-			pending--
-			if out.err == nil {
-				for _, res := range out.results {
-					s.observeDecision(out.model, res.Malware, res.Confidence)
-				}
-				return out, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			// Never wait for a hedge slot: hedging spends only capacity
-			// that is idle right now.
-			if hslot, ok := s.pool.TryAcquire(); ok {
-				s.metrics.Hedge()
-				pending++
-				s.runDetached(ctx, hslot, programs, tenantID, true, outcomes)
-			}
-		case <-ctx.Done():
-			// Deadline or client cancellation. Runners poll ctx between
-			// programs, finish their current one, and release their own
-			// slots; nothing here leaks.
-			return batchOutcome{}, ctx.Err()
-		}
-	}
-	return batchOutcome{}, firstErr
-}
-
-// runDetached starts one tracked runner goroutine that executes the
-// batch on slot and always releases the slot itself.
-func (s *Server) runDetached(ctx context.Context, slot *Slot, programs []DecodedProgram, tenantID string, hedge bool, outcomes chan<- batchOutcome) {
-	s.detWG.Add(1)
-	go func() {
-		defer s.detWG.Done()
-		out := s.runBatch(ctx, slot, programs, tenantID)
-		out.hedge = hedge
-		s.pool.Release(slot)
-		outcomes <- out
-	}()
-}
-
-// runBatch scores every program in the batch on one slot, checking the
-// request context between programs (DetectProgram itself is the unit
-// of non-cancellable work).
-func (s *Server) runBatch(ctx context.Context, slot *Slot, programs []DecodedProgram, tenantID string) batchOutcome {
-	out := batchOutcome{session: slot.ID, model: slot.Model, results: make([]DetectResult, len(programs))}
-	for i, p := range programs {
-		if err := ctx.Err(); err != nil {
-			out.err = err
-			return out
-		}
-		v, err := slot.Sup.DetectProgram(p.Windows)
-		if err != nil {
-			out.err = fmt.Errorf("program %d: %v", i, err)
-			return out
-		}
-		conf := Confidence(v.Score, s.threshold, v.Malware)
-		out.results[i] = DetectResult{
-			ID:          p.ID,
-			Malware:     v.Malware,
-			Score:       v.Score,
-			Confidence:  conf,
-			Unprotected: v.Unprotected,
-			Attempts:    v.Attempts,
-			Windows:     len(p.Windows),
-		}
-		if s.cfg.Trace != nil {
-			s.traceDecision(slot, p, v, conf, tenantID)
-		}
-	}
-	return out
-}
-
-// traceDecision offers one decision's provenance to the trace sink.
-// A protected verdict carries the draw log of its final scoring pass
-// (earlier retries were overwritten by the attempt that produced the
-// verdict); a degraded verdict ran on the exact unit and records an
-// empty log, which replays as exact arithmetic.
-func (s *Server) traceDecision(slot *Slot, p DecodedProgram, v core.Verdict, conf float64, tenantID string) {
-	draws := faults.DrawLog{InitialGap: -1}
-	if !v.Unprotected {
-		draws = slot.Det.LastDraws()
-	}
-	s.traceRecord(slot, p.Windows, v, conf, draws, tenantID)
-}
-
 // traceRecord offers one decision's provenance to the trace sink with
-// an explicit draw log — the shared tail of the scalar path (which
-// reads the slot detector's last recorded pass) and the batched path
-// (which carries each lane's own log from the batched pass). With a
-// TraceTenants filter configured, only the listed tenants' decisions
-// reach the sink.
+// the lane's own draw log from the batched pass (empty for a degraded
+// verdict, which ran on the exact unit and replays as exact
+// arithmetic). With a TraceTenants filter configured, only the listed
+// tenants' decisions reach the sink.
 func (s *Server) traceRecord(slot *Slot, windows []trace.WindowCounts, v core.Verdict, conf float64, draws faults.DrawLog, tenantID string) {
 	if s.traceTenants != nil && !s.traceTenants[tenantID] {
 		return
@@ -589,23 +361,19 @@ func (s *Server) traceRecord(slot *Slot, windows []trace.WindowCounts, v core.Ve
 		Tenant:       tenantID,
 		ModelVersion: slot.Model,
 		Seed:         slot.Seed,
-		Slot:        slot.ID,
-		Gen:         slot.Gen,
-		Rate:        slot.Sup.TargetRate(),
-		DepthMV:     slot.Sup.Session().Depth(),
-		Threshold:   s.threshold,
-		Malware:     v.Malware,
-		Unprotected: v.Unprotected,
-		Score:       v.Score,
-		Confidence:  conf,
-		Draws:       draws,
-		Windows:     windows,
+		Slot:         slot.ID,
+		Gen:          slot.Gen,
+		Rate:         slot.Sup.TargetRate(),
+		DepthMV:      slot.Sup.Session().Depth(),
+		Threshold:    s.threshold,
+		Malware:      v.Malware,
+		Unprotected:  v.Unprotected,
+		Score:        v.Score,
+		Confidence:   conf,
+		Draws:        draws,
+		Windows:      windows,
 	})
 }
-
-// statusClientClosedRequest is the de-facto code (nginx's 499) used
-// only as a metrics label for requests abandoned while queued.
-const statusClientClosedRequest = 499
 
 // Confidence normalizes the decision margin into [0, 1]: the distance
 // between the mean window score and the threshold, relative to the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"shmd/internal/tenant"
 	"shmd/internal/trace"
 	"shmd/internal/wire"
+	"shmd/pkg/sdk"
 )
 
 // frozenClock is a clock that never advances: token buckets refill
@@ -207,6 +209,63 @@ func TestTenantCrossTransportRoundTrip(t *testing.T) {
 	}
 	if v.Tenant != dr.Tenant || v.Tenant != "acme-corp" {
 		t.Fatalf("wire tenant %q vs HTTP tenant %q, want acme-corp on both", v.Tenant, dr.Tenant)
+	}
+}
+
+// TestWireTenantQueueShedCounted: a wire DETECT shed because the flat
+// queue is full is charged to its tenant in
+// shmd_tenant_shed_total{reason="queue"}, as HTTP and STREAM sheds are.
+func TestWireTenantQueueShedCounted(t *testing.T) {
+	srv := newTestServer(t, Config{
+		Pool:       PoolConfig{Size: 1},
+		QueueDepth: 1,
+		Tenancy:    &tenant.Config{Tenants: []tenant.Spec{{ID: "acme", Class: tenant.Realtime}}},
+	})
+	defer srv.Close()
+	addr, stop := startWireServer(t, srv)
+	defer stop()
+	slot, err := srv.Pool().Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := sdk.Dial(addr, sdk.Options{JitterSeed: 1, Tenant: "acme"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	req := wireDetectRequest(testWindows(t, trace.Trojan, 0, 2))
+
+	// Fill the admission queue (capacity pool+queue = 2).
+	results := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := cl.Detect(context.Background(), req)
+			results <- err
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.queue) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("queued detects never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var ef *wire.ErrorFrame
+	if _, err := cl.Detect(context.Background(), req); !errors.As(err, &ef) || ef.Code != wire.CodeOverloaded {
+		t.Fatalf("overload error = %v, want typed %d", err, wire.CodeOverloaded)
+	}
+	srv.Pool().Release(slot)
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("queued detect: %v", err)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	want := `shmd_tenant_shed_total{tenant="acme",class="realtime",reason="queue"} 1`
+	if !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("metrics missing %q", want)
 	}
 }
 

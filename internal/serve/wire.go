@@ -1,13 +1,14 @@
 package serve
 
 // The SHMDWIRE streaming listener: persistent binary connections
-// multiplexing detect streams into the same admission queue, deadline
-// plumbing, micro-batcher, hedged dispatch, tracing, and metrics as
-// the HTTP transport. One connection carries many concurrent DETECT
-// frames; each frame becomes one tracked detection whose VERDICT (or
-// typed ERROR) is written back under the frame's correlation id, so
-// windows from a Pin-style collector stream without per-request
-// connection or JSON re-encoding cost.
+// multiplexing detect streams into the same detect core (detect.go) as
+// the HTTP transport: admission, deadline plumbing, micro-batcher,
+// hedged dispatch, tracing, metrics, and failure classification. One
+// connection carries many concurrent DETECT frames; each frame becomes
+// one tracked detection whose VERDICT (or typed ERROR) is written back
+// under the frame's correlation id, so windows from a Pin-style
+// collector stream without per-request connection or JSON re-encoding
+// cost.
 //
 // Graceful drain mirrors the HTTP path: the server broadcasts a
 // GOAWAY frame to every live connection, stops admitting new DETECTs
@@ -25,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"shmd/internal/tenant"
 	"shmd/internal/trace"
 	"shmd/internal/wire"
 )
@@ -69,7 +69,6 @@ const maxWireStreams = 64
 type windowStream struct {
 	label  string
 	tenant string
-	class  tenant.Class
 	stride int
 	period int
 	// buf holds the trailing period windows.
@@ -224,8 +223,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 			if errors.As(err, &tooBig) {
 				// The stream is still synchronized: reject this frame and
 				// keep the connection.
-				s.metrics.Request(int(wire.CodeTooLarge))
-				c.WriteError(tooBig.Corr, wire.CodeTooLarge, err.Error())
+				s.writeWireError(wc, tooBig.Corr, failure{code: int(wire.CodeTooLarge), msg: err.Error()})
 				continue
 			}
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -256,8 +254,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 				log.Printf("serve: wire: skipping unknown frame type 0x%02x from %s", uint8(f.Type), c.RemoteAddr())
 				continue
 			}
-			s.metrics.Request(int(wire.CodeBadRequest))
-			c.WriteError(f.Corr, wire.CodeBadRequest, fmt.Sprintf("unexpected %v frame", f.Type))
+			s.writeWireError(wc, f.Corr, failure{code: int(wire.CodeBadRequest), msg: fmt.Sprintf("unexpected %v frame", f.Type)})
 		}
 	}
 }
@@ -271,8 +268,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 func (s *Server) wireHello(wc *wireConn, f wire.Frame) {
 	h, err := wire.DecodeHello(f.Payload)
 	if err != nil {
-		s.metrics.Request(int(wire.CodeBadRequest))
-		wc.c.WriteError(f.Corr, wire.CodeBadRequest, err.Error())
+		s.writeWireError(wc, f.Corr, failure{code: int(wire.CodeBadRequest), msg: err.Error()})
 		return
 	}
 	wc.extended.Store(true)
@@ -281,30 +277,23 @@ func (s *Server) wireHello(wc *wireConn, f wire.Frame) {
 	}
 }
 
-// writeWireError sends a typed ERROR with an optional backoff hint:
-// extended (v1.1) peers get the machine-readable RetryAfterSec tail;
-// legacy peers get only the message, whose text carries the hint.
-func (s *Server) writeWireError(wc *wireConn, corr uint64, code wire.ErrorCode, msg string, retryAfter int) {
-	e := wire.ErrorFrame{Code: code, Msg: msg}
-	if retryAfter > 0 && retryAfter <= int(^uint16(0)) && wc.extended.Load() {
-		e.RetryAfterSec = uint16(retryAfter)
-	}
-	wc.c.WriteFrame(wire.Frame{Type: wire.FrameError, Corr: corr, Payload: wire.AppendErrorFrame(nil, e)})
-}
-
-// rejectWireTenant writes the wire twin of rejectTenant: 403 for an
-// unknown tenant, 429 with a jittered backoff hint for quota and
-// pressure sheds.
-func (s *Server) rejectWireTenant(wc *wireConn, corr uint64, adm *tenant.Admission) {
-	s.metrics.TenantShed(adm.Tenant, adm.Class.String(), adm.Outcome.String())
-	if adm.Outcome == tenant.Unknown {
-		s.metrics.Request(int(wire.CodeForbidden))
-		wc.c.WriteError(corr, wire.CodeForbidden, fmt.Sprintf("unknown tenant %q", adm.Tenant))
+// writeWireError records and sends one typed ERROR. A backoff hint
+// rides twice: extended (v1.1) peers get the machine-readable
+// RetryAfterSec tail, and the message text carries it for legacy
+// peers. A gone client (499) is recorded, not answered.
+func (s *Server) writeWireError(wc *wireConn, corr uint64, f failure) {
+	s.metrics.Request(f.code)
+	if f.code == statusClientClosedRequest {
 		return
 	}
-	s.metrics.Request(int(wire.CodeOverloaded))
-	hint := s.jitter.RetryAfter()
-	s.writeWireError(wc, corr, wire.CodeOverloaded, fmt.Sprintf("tenant %s over %s limit; retry in %ds", adm.Tenant, adm.Outcome, hint), hint)
+	e := wire.ErrorFrame{Code: wire.ErrorCode(f.code), Msg: f.msg}
+	if f.hint > 0 {
+		e.Msg = fmt.Sprintf("%s; retry in %ds", f.msg, f.hint)
+		if f.hint <= int(^uint16(0)) && wc.extended.Load() {
+			e.RetryAfterSec = uint16(f.hint)
+		}
+	}
+	wc.c.WriteFrame(wire.Frame{Type: wire.FrameError, Corr: corr, Payload: wire.AppendErrorFrame(nil, e)})
 }
 
 // wireHealth answers a HEALTH_REQ with the same JSON report /healthz
@@ -320,117 +309,65 @@ func (s *Server) wireHealth(c *wire.Conn, corr uint64) {
 	c.WriteFrame(wire.Frame{Type: wire.FrameHealth, Corr: corr, Payload: payload})
 }
 
-// wireDetect admits, decodes, and launches one DETECT frame. The flat
-// queue probe and decode happen on the read loop (both are cheap and
-// their typed rejections must preserve frame order); tenant QoS runs
-// after decode — unlike the HTTP path, the per-frame tenant tag lives
-// in the payload — and the dispatch itself runs in a tracked
-// goroutine so the connection keeps multiplexing.
+// wireDetect decodes, admits, and launches one DETECT frame. Decode
+// and admission run on the read loop (both are cheap and their typed
+// rejections must preserve frame order); admission follows decode
+// because the per-frame tenant tag lives in the payload.
 func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 	start := time.Now()
-	c := wc.c
 	if s.draining.Load() {
-		s.metrics.Request(int(wire.CodeUnavailable))
-		c.WriteError(f.Corr, wire.CodeUnavailable, "draining")
+		s.writeWireError(wc, f.Corr, failure{code: int(wire.CodeUnavailable), msg: "draining"})
 		return
 	}
-	// Admission control before any decode work, exactly like the HTTP
-	// path: shed at the backpressure limit with a typed 429.
-	select {
-	case s.queue <- struct{}{}:
-	default:
-		s.metrics.QueueReject()
-		s.metrics.Request(int(wire.CodeOverloaded))
-		hint := s.jitter.RetryAfter()
-		s.writeWireError(wc, f.Corr, wire.CodeOverloaded, fmt.Sprintf("detection queue full; retry in %ds", hint), hint)
-		return
-	}
-	// Holding a queue token guarantees inflight capacity (same sizes).
-	s.inflight <- struct{}{}
-	release := func() { <-s.inflight; <-s.queue }
-
 	req, err := wire.DecodeDetectRequest(f.Payload)
 	if err != nil {
-		release()
-		s.metrics.Request(int(wire.CodeBadRequest))
-		c.WriteError(f.Corr, wire.CodeBadRequest, err.Error())
+		s.writeWireError(wc, f.Corr, failure{code: int(wire.CodeBadRequest), msg: err.Error()})
 		return
-	}
-	// Tenant QoS: the frame tag outranks the connection HELLO binding.
-	var tenantID string
-	var class tenant.Class
-	var adm *tenant.Admission
-	if s.tenants != nil {
-		id := req.Tenant
-		if id == "" {
-			id = wc.tenantID
-		}
-		adm = s.tenants.Admit(id, s.admissionLoad())
-		tenantID, class = adm.Tenant, adm.Class
-		if !adm.OK() {
-			release()
-			s.rejectWireTenant(wc, f.Corr, adm)
-			return
-		}
-		s.metrics.TenantAccepted(tenantID, class.String())
 	}
 	programs := make([]DecodedProgram, len(req.Programs))
 	for i, p := range req.Programs {
 		programs[i] = DecodedProgram{ID: p.ID, Windows: p.Windows}
 	}
 	if err := ValidatePrograms(programs, s.cfg.Limits); err != nil {
-		release()
-		if adm != nil {
-			adm.Release()
-		}
-		s.metrics.Request(StatusOf(err))
-		c.WriteError(f.Corr, wire.ErrorCode(StatusOf(err)), err.Error())
+		s.writeWireError(wc, f.Corr, failure{code: StatusOf(err), msg: err.Error()})
+		return
+	}
+	// The frame tag outranks the connection HELLO binding.
+	id := req.Tenant
+	if id == "" {
+		id = wc.tenantID
+	}
+	tk, err := s.admit(id)
+	if err != nil {
+		s.writeWireError(wc, f.Corr, s.classify(err))
 		return
 	}
 	deadline := req.Deadline()
 	if deadline == 0 {
 		deadline = s.cfg.DefaultDeadline
 	}
+	s.wireRun(ctx, wc, f.Corr, tk, programs, deadline, start)
+}
 
+// wireRun runs an admitted request through the detect core in a
+// tracked goroutine, so the connection keeps multiplexing, and answers
+// its VERDICT (or typed ERROR) under corr.
+func (s *Server) wireRun(ctx context.Context, wc *wireConn, corr uint64, tk ticket, programs []DecodedProgram, deadline time.Duration, start time.Time) {
 	wc.wg.Add(1)
 	go func() {
 		defer wc.wg.Done()
-		defer release()
-		if adm != nil {
-			defer adm.Release()
-		}
-		dctx := ctx
-		if deadline > 0 {
-			var cancel context.CancelFunc
-			dctx, cancel = context.WithTimeout(dctx, deadline)
-			defer cancel()
-		}
-		var out batchOutcome
-		var err error
-		if s.batcher != nil {
-			out, err = s.batcher.dispatch(dctx, tenantID, programs)
-		} else {
-			out, err = s.dispatch(dctx, class, tenantID, programs)
+		defer s.release(tk)
+		out, err := s.detect(ctx, tk, programs, deadline, start)
+		var payload []byte
+		if err == nil {
+			payload, err = s.encodeVerdict(out, tk.tenantID)
 		}
 		if err != nil {
-			s.failWireDetect(ctx, wc, f.Corr, err)
-			return
-		}
-		if out.hedge {
-			s.metrics.HedgeWin()
-		}
-		for _, res := range out.results {
-			s.metrics.Decision(res.Malware, res.Unprotected)
-		}
-		payload, encErr := s.encodeVerdict(out, tenantID)
-		if encErr != nil {
-			s.metrics.Request(int(wire.CodeInternal))
-			c.WriteError(f.Corr, wire.CodeInternal, encErr.Error())
+			s.writeWireError(wc, corr, s.classify(err))
 			return
 		}
 		s.metrics.Request(200)
-		s.metrics.Observe(time.Since(start))
-		c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: f.Corr, Payload: payload})
+		wc.c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: corr, Payload: payload})
 	}()
 }
 
@@ -474,16 +411,13 @@ func (s *Server) encodeVerdict(out batchOutcome, tenantID string) ([]byte, error
 // stream cannot smuggle unmetered load past admission.
 func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 	start := time.Now()
-	c := wc.c
 	if s.draining.Load() {
-		s.metrics.Request(int(wire.CodeUnavailable))
-		c.WriteError(f.Corr, wire.CodeUnavailable, "draining")
+		s.writeWireError(wc, f.Corr, failure{code: int(wire.CodeUnavailable), msg: "draining"})
 		return
 	}
 	req, err := wire.DecodeStreamRequest(f.Payload)
 	if err != nil {
-		s.metrics.Request(int(wire.CodeBadRequest))
-		c.WriteError(f.Corr, wire.CodeBadRequest, err.Error())
+		s.writeWireError(wc, f.Corr, failure{code: int(wire.CodeBadRequest), msg: err.Error()})
 		return
 	}
 	if wc.streams == nil {
@@ -493,13 +427,15 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 	if !open {
 		if req.Close {
 			// Closing a stream that is not open is idempotent: ack.
-			s.ackStream(c, f.Corr, "")
+			s.ackStream(wc, f.Corr, "")
 			return
 		}
 		if len(wc.streams) >= maxWireStreams {
-			s.metrics.Request(int(wire.CodeOverloaded))
-			hint := s.jitter.RetryAfter()
-			s.writeWireError(wc, f.Corr, wire.CodeOverloaded, fmt.Sprintf("connection holds %d streams, limit %d", len(wc.streams), maxWireStreams), hint)
+			s.writeWireError(wc, f.Corr, failure{
+				code: int(wire.CodeOverloaded),
+				msg:  fmt.Sprintf("connection holds %d streams, limit %d", len(wc.streams), maxWireStreams),
+				hint: s.jitter.RetryAfter(),
+			})
 			return
 		}
 		st = &windowStream{
@@ -514,10 +450,10 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 			}
 			look := s.tenants.Lookup(id)
 			if !look.OK() {
-				s.rejectWireTenant(wc, f.Corr, look)
+				s.writeWireError(wc, f.Corr, s.classify(&admitError{adm: look}))
 				return
 			}
-			st.tenant, st.class = look.Tenant, look.Class
+			st.tenant = look.Tenant
 			if st.stride == 0 {
 				st.stride = look.Stride
 			}
@@ -528,45 +464,27 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 		wc.streams[req.StreamID] = st
 	} else if req.Tenant != "" && req.Tenant != st.tenant {
 		// An append cannot re-bill an open stream to another tenant.
-		s.metrics.Request(int(wire.CodeBadRequest))
-		c.WriteError(f.Corr, wire.CodeBadRequest, fmt.Sprintf("stream %d is bound to tenant %q, append tagged %q", req.StreamID, st.tenant, req.Tenant))
+		s.writeWireError(wc, f.Corr, failure{
+			code: int(wire.CodeBadRequest),
+			msg:  fmt.Sprintf("stream %d is bound to tenant %q, append tagged %q", req.StreamID, st.tenant, req.Tenant),
+		})
 		return
 	}
 	if req.Close {
 		defer delete(wc.streams, req.StreamID)
 	}
 	if len(req.Windows) == 0 {
-		s.ackStream(c, f.Corr, st.tenant)
+		s.ackStream(wc, f.Corr, st.tenant)
 		return
 	}
 
-	// Per-append admission: tenant QoS first, then the flat queue,
-	// mirroring the HTTP ordering. A shed append buffers nothing — the
-	// client retries the same windows after the hint.
-	var adm *tenant.Admission
-	if s.tenants != nil {
-		adm = s.tenants.Admit(st.tenant, s.admissionLoad())
-		if !adm.OK() {
-			s.rejectWireTenant(wc, f.Corr, adm)
-			return
-		}
-		s.metrics.TenantAccepted(adm.Tenant, adm.Class.String())
-	}
-	select {
-	case s.queue <- struct{}{}:
-	default:
-		s.metrics.QueueReject()
-		if adm != nil {
-			s.metrics.TenantShed(adm.Tenant, adm.Class.String(), "queue")
-			adm.Release()
-		}
-		s.metrics.Request(int(wire.CodeOverloaded))
-		hint := s.jitter.RetryAfter()
-		s.writeWireError(wc, f.Corr, wire.CodeOverloaded, fmt.Sprintf("detection queue full; retry in %ds", hint), hint)
+	// Per-append admission, like every detect: a shed append buffers
+	// nothing — the client retries the same windows after the hint.
+	tk, err := s.admit(st.tenant)
+	if err != nil {
+		s.writeWireError(wc, f.Corr, s.classify(err))
 		return
 	}
-	s.inflight <- struct{}{}
-	release := func() { <-s.inflight; <-s.queue }
 
 	// Slide the buffer and collect the spans due for re-scoring.
 	var programs []DecodedProgram
@@ -588,99 +506,21 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 		}
 	}
 	if len(programs) == 0 {
-		release()
-		if adm != nil {
-			adm.Release()
-		}
-		s.ackStream(c, f.Corr, st.tenant)
+		s.release(tk)
+		s.ackStream(wc, f.Corr, st.tenant)
 		return
 	}
-
-	tenantID, class := st.tenant, st.class
-	wc.wg.Add(1)
-	go func() {
-		defer wc.wg.Done()
-		defer release()
-		if adm != nil {
-			defer adm.Release()
-		}
-		dctx := ctx
-		if s.cfg.DefaultDeadline > 0 {
-			var cancel context.CancelFunc
-			dctx, cancel = context.WithTimeout(dctx, s.cfg.DefaultDeadline)
-			defer cancel()
-		}
-		var out batchOutcome
-		var err error
-		if s.batcher != nil {
-			out, err = s.batcher.dispatch(dctx, tenantID, programs)
-		} else {
-			out, err = s.dispatch(dctx, class, tenantID, programs)
-		}
-		if err != nil {
-			s.failWireDetect(ctx, wc, f.Corr, err)
-			return
-		}
-		if out.hedge {
-			s.metrics.HedgeWin()
-		}
-		for _, res := range out.results {
-			s.metrics.Decision(res.Malware, res.Unprotected)
-		}
-		payload, encErr := s.encodeVerdict(out, tenantID)
-		if encErr != nil {
-			s.metrics.Request(int(wire.CodeInternal))
-			c.WriteError(f.Corr, wire.CodeInternal, encErr.Error())
-			return
-		}
-		s.metrics.Request(200)
-		s.metrics.Observe(time.Since(start))
-		c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: f.Corr, Payload: payload})
-	}()
+	s.wireRun(ctx, wc, f.Corr, tk, programs, s.cfg.DefaultDeadline, start)
 }
 
 // ackStream answers a STREAM append that triggered no re-scoring with
 // an empty VERDICT under the append's correlation id.
-func (s *Server) ackStream(c *wire.Conn, corr uint64, tenantID string) {
+func (s *Server) ackStream(wc *wireConn, corr uint64, tenantID string) {
 	payload, err := wire.AppendVerdict(nil, wire.Verdict{Session: -1, Tenant: tenantID})
 	if err != nil {
-		s.metrics.Request(int(wire.CodeInternal))
-		c.WriteError(corr, wire.CodeInternal, err.Error())
+		s.writeWireError(wc, corr, s.classify(err))
 		return
 	}
 	s.metrics.Request(200)
-	c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: corr, Payload: payload})
-}
-
-// failWireDetect maps a dispatch failure to its typed ERROR frame,
-// mirroring the HTTP transport's failDetect status mapping so the two
-// transports shed and fail with the same vocabulary.
-func (s *Server) failWireDetect(connCtx context.Context, wc *wireConn, corr uint64, err error) {
-	c := wc.c
-	switch {
-	case connCtx.Err() != nil:
-		// The connection is gone; nobody is listening.
-		s.metrics.Request(statusClientClosedRequest)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.DeadlineExpired()
-		s.metrics.Request(int(wire.CodeUnavailable))
-		c.WriteError(corr, wire.CodeUnavailable, "detection deadline exceeded")
-	case errors.Is(err, tenant.ErrQueueFull):
-		s.metrics.QueueReject()
-		s.metrics.Request(int(wire.CodeOverloaded))
-		hint := s.jitter.RetryAfter()
-		s.writeWireError(wc, corr, wire.CodeOverloaded, err.Error(), hint)
-	case errors.Is(err, ErrPoolClosed):
-		s.metrics.Request(int(wire.CodeUnavailable))
-		c.WriteError(corr, wire.CodeUnavailable, err.Error())
-	default:
-		var ae *AcquireError
-		if errors.As(err, &ae) {
-			s.metrics.Request(int(wire.CodeUnavailable))
-			c.WriteError(corr, wire.CodeUnavailable, err.Error())
-			return
-		}
-		s.metrics.Request(int(wire.CodeInternal))
-		c.WriteError(corr, wire.CodeInternal, err.Error())
-	}
+	wc.c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: corr, Payload: payload})
 }

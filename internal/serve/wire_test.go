@@ -75,9 +75,9 @@ func wireDial(t *testing.T, addr string) *wire.Conn {
 // TestWireCrossTransportBitIdentical is the transport conformance
 // pin: the same seeded detect program served over HTTP/JSON and over
 // SHMDWIRE produces bit-identical verdicts, scores, and confidences —
-// at scalar dispatch and through the micro-batcher. Two fresh servers
-// share a pool seed; each transport consumes its server's fault
-// streams in the same order, so any divergence is a transport bug.
+// at one-lane and 16-lane batches. Two fresh servers share a pool
+// seed; each transport consumes its server's fault streams in the same
+// order, so any divergence is a transport bug.
 func TestWireCrossTransportBitIdentical(t *testing.T) {
 	for _, maxBatch := range []int{0, 16} {
 		t.Run(fmt.Sprintf("maxBatch=%d", maxBatch), func(t *testing.T) {
