@@ -3,7 +3,8 @@
 #   make build    tier-1 build
 #   make test     tier-1 tests
 #   make race     suite under the race detector
-#   make verify   vet + build + test + race, in that order
+#   make fmt      fail if any Go file is not gofmt-formatted
+#   make verify   fmt + vet + build + test + race, in that order
 #   make bench    A/B inference benchmarks -> BENCH_inference.json
 #
 # The race pass is part of `verify` because the deployment layer
@@ -26,7 +27,7 @@ TENANT_SOAK_FLAGS ?=
 ROLLOUT_SOAK_FLAGS ?=
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test race vet verify bench soak fleet-soak tenant-soak rollout-soak conform lint
+.PHONY: build test race vet fmt verify bench soak fleet-soak tenant-soak rollout-soak conform lint
 
 build:
 	$(GO) build ./...
@@ -40,7 +41,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-verify: vet build test race
+# fmt lists every file gofmt would rewrite (perfbench/ included) and
+# fails when the list is non-empty.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+verify: fmt vet build test race
 	@echo "verify: OK"
 
 # bench regenerates BENCH_inference.json: ns/op, muls/s and allocs/op

@@ -33,6 +33,8 @@ import (
 	"testing"
 	"time"
 
+	"shmd/internal/core"
+	"shmd/internal/dataset"
 	"shmd/internal/experiments"
 	"shmd/internal/faults"
 	"shmd/internal/fxp"
@@ -237,6 +239,20 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 		batchRows[k] = res
 	}
 
+	// Steady-state served batch passes: one Session.DetectBatch cycle
+	// (enter, per-pass lane reseeding, feature extraction, the faulty
+	// forward passes, exit) over k test-corpus programs on one slot's
+	// detector. Unlike batch_faulty_k, which reuses one injector on
+	// running streams, every op draws fresh lane streams as served
+	// passes do. One op = one pass of k lanes.
+	for _, k := range []int{1, 16} {
+		res, err := measureSessionPass(env, test, count, k)
+		if err != nil {
+			return nil, err
+		}
+		rep.Results = append(rep.Results, res)
+	}
+
 	// In-process /v1/detect throughput, one-lane vs 16-lane batches:
 	// same model, same pool shape, concurrent clients through the handler
 	// (no sockets). One op = one single-program request.
@@ -270,6 +286,37 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 		ServeWireVsJSON:            serveJSON.NsPerOp / serveWire.NsPerOp,
 	}
 	return rep, nil
+}
+
+// measureSessionPass benchmarks one k-lane batched detection cycle
+// through a core.Session at the operating error rate.
+func measureSessionPass(env *experiments.Env, programs []dataset.TracedProgram, count, k int) (Result, error) {
+	if len(programs) < k {
+		return Result{}, fmt.Errorf("bench: %d test programs for a %d-lane pass", len(programs), k)
+	}
+	s, err := env.Stochastic(experiments.OperatingErrorRate, 0x5E55)
+	if err != nil {
+		return Result{}, err
+	}
+	sess, err := core.NewSession(s)
+	if err != nil {
+		return Result{}, err
+	}
+	traces := make([][]trace.WindowCounts, k)
+	for j := range traces {
+		traces[j] = programs[j].Windows
+	}
+	var passErr error
+	res := measure(fmt.Sprintf("session_batch_pass_%d", k), count, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := sess.DetectBatch(traces, false); err != nil {
+				passErr = err
+				b.FailNow()
+			}
+		}
+	})
+	res.Lanes = k
+	return res, passErr
 }
 
 // measureServe benchmarks the detection service end to end in-process:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 
 	"shmd/internal/faults"
 	"shmd/internal/fxp"
@@ -61,6 +60,13 @@ func (s *StochasticHMD) BatchCapable() bool { return s.shardable || s.laneSeeded
 // Unlike ScoreWindows, a batched pass never consumes the detector's
 // own fault stream; it is not safe for concurrent use with itself or
 // the scalar path (the serving layer serializes through Session).
+//
+// The pass runs on the detector's lane arena: its pooled lane sources
+// are reseeded in place (a seeded rng.Source is the exact stream
+// rng.NewSource64 would build for the same derivation) and its one
+// batch injector and the base HMD's feature and score arenas are
+// reset, not rebuilt, so a steady-state pass allocates only the
+// returned decisions (and the logs, when recording).
 func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record bool) (decs []hmd.Decision, logs []faults.DrawLog, ok bool) {
 	if !s.BatchCapable() {
 		return nil, nil, false
@@ -68,12 +74,16 @@ func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record 
 	rate := s.inj.Rate()
 	pass := s.batchPass
 	s.batchPass++
-	srcs := make([]rand.Source64, len(traces))
-	for j := range srcs {
-		srcs[j] = rng.NewSource64(s.seed, batchPassLabel, pass, math.Float64bits(rate), uint64(j))
+	for len(s.laneSrcs) < len(traces) {
+		src := new(rng.Source)
+		s.laneSrcs = append(s.laneSrcs, src)
+		s.laneView = append(s.laneView, src)
 	}
-	binj, err := faults.NewBatchInjector(rate, s.dist, srcs)
-	if err != nil {
+	for j := range traces {
+		s.laneSrcs[j].Seed(int64(rng.DeriveSeed(s.seed, batchPassLabel, pass, math.Float64bits(rate), uint64(j))))
+	}
+	binj := &s.laneInj
+	if err := binj.Reset(rate, s.dist, s.laneView[:len(traces)]); err != nil {
 		return nil, nil, false
 	}
 	if record {

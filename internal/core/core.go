@@ -106,6 +106,16 @@ type StochasticHMD struct {
 	laneSeeded bool
 	batchPass  uint64
 
+	// The per-slot lane arena of DetectTracesBatch: a pool of lane
+	// sources (laneView is the same sources as the interface slice the
+	// injector takes), reseeded in place for every pass, and the one
+	// batch injector that runs them. Like the base HMD's lane arena it
+	// is touched only by the serialized serving path; the concurrent
+	// BatchSharder path (DetectBatch) builds its own per call.
+	laneSrcs []*rng.Source
+	laneView []rand.Source64
+	laneInj  faults.BatchInjector
+
 	// Decision tracing (opt-in, see EnableDecisionTrace): when on,
 	// every ScoreWindows pass records its stochastic draws into
 	// lastDraws so the serving layer can attach provenance to the

@@ -105,38 +105,78 @@ func (e spanFault) bit() uint   { return uint(e & 0xff) }
 // sharing one gap table, so Lane(i) exposes each lane for recording,
 // statistics, or scalar-path interoperation.
 func NewBatchInjector(rate float64, dist *Distribution, srcs []rand.Source64) (*BatchInjector, error) {
+	b := &BatchInjector{}
+	if err := b.Reset(rate, dist, srcs); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Reset re-arms the injector in place as NewBatchInjector(rate, dist,
+// srcs) would build it: lane l runs on srcs[l] from its current state,
+// with no pending gap, no presampled span, zeroed counters and no
+// recording. Lane states, span plans and row-plan arenas are reused,
+// so a caller that reseeds a fixed pool of sources before every pass
+// (core.StochasticHMD's batched serving path) runs each pass with no
+// allocation once the arenas have grown to the pass's size. A lane
+// reused on the same source keeps its *rand.Rand wrapper: rand.Rand
+// holds no draw state of its own outside Read, which injectors never
+// call, so the stream is exactly the fresh injector's.
+func (b *BatchInjector) Reset(rate float64, dist *Distribution, srcs []rand.Source64) error {
 	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("faults: error rate %v outside [0,1]", rate)
+		return fmt.Errorf("faults: error rate %v outside [0,1]", rate)
 	}
 	if len(srcs) == 0 {
-		return nil, fmt.Errorf("faults: batch injector needs at least one lane source")
+		return fmt.Errorf("faults: batch injector needs at least one lane source")
+	}
+	for l, src := range srcs {
+		if src == nil {
+			return fmt.Errorf("faults: lane %d has no random source", l)
+		}
 	}
 	if dist == nil {
 		dist = Fig1Distribution()
 	}
-	b := &BatchInjector{
-		dist:  dist,
-		lanes: make([]*Injector, len(srcs)),
-		sites: make([][]int32, len(srcs)),
-		bits:  make([][]uint8, len(srcs)),
-		spans: make([]laneSpan, len(srcs)),
-	}
+	b.dist = dist
 	b.configure(rate)
+	n := len(srcs)
+	b.lanes = resize(b.lanes, n)
+	b.sites = resize(b.sites, n)
+	b.bits = resize(b.bits, n)
+	b.spans = resize(b.spans, n)
 	for l, src := range srcs {
-		if src == nil {
-			return nil, fmt.Errorf("faults: lane %d has no random source", l)
+		in := b.lanes[l]
+		if in == nil {
+			in = new(Injector)
+			b.lanes[l] = in
 		}
-		b.lanes[l] = &Injector{
+		rnd := in.rnd
+		if in.src != src || rnd == nil {
+			rnd = rand.New(src)
+		}
+		*in = Injector{
 			rate:         rate,
 			dist:         dist,
-			rnd:          rand.New(src),
+			rnd:          rnd,
 			src:          src,
 			gap:          -1,
 			invLog1mRate: b.invLog1mRate,
 			gapTable:     b.table,
 		}
+		b.spans[l] = laneSpan{entries: b.spans[l].entries[:0]}
 	}
-	return b, nil
+	b.maxInfl = 0
+	return nil
+}
+
+// resize returns s with length n. Elements between the old length and
+// the capacity survive a shrink-then-grow, so arenas trimmed by a
+// narrow pass are reused, not reallocated, by the next wide one.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // configure rebuilds the shared rate-dependent state (the geometric

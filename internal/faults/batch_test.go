@@ -466,3 +466,79 @@ func TestBatchInjectorValidation(t *testing.T) {
 		t.Fatal("nil lane stream accepted")
 	}
 }
+
+// TestBatchInjectorResetMatchesNew re-arms one injector across lane
+// counts and rates — each time from a dirty state: a span announced
+// but only half consumed, a lane recording, counters running — and
+// requires every re-armed run to match, row for row and counter for
+// counter, a NewBatchInjector built on fresh sources of the same seeds.
+func TestBatchInjectorResetMatchesNew(t *testing.T) {
+	f := fxp.DefaultFormat
+	const n, rows = 29, 12
+	w := make([]fxp.Value, n)
+	for i := range w {
+		w[i] = fxp.Value(41*i - 600)
+	}
+	mkX := func(row, lane, i int) fxp.Value {
+		return fxp.Value((row+2)*(lane+5)*(i+3)%8191 - 4096)
+	}
+	pool := make([]*rng.Source, 7)
+	view := make([]rand.Source64, len(pool))
+	for l := range pool {
+		pool[l] = new(rng.Source)
+		view[l] = pool[l]
+	}
+	var reused BatchInjector
+	for pass, st := range []struct {
+		lanes int
+		rate  float64
+	}{{7, 0.1}, {3, 0.1}, {7, 0.5}, {7, 0.004}, {2, 0.1}} {
+		fresh := make([]rand.Source64, st.lanes)
+		for l := range fresh {
+			seed := int64(rng.DeriveSeed(0x7E5E7, uint64(pass), uint64(l)))
+			pool[l].Seed(seed)
+			fresh[l] = rand.NewSource(seed).(rand.Source64)
+		}
+		if err := reused.Reset(st.rate, nil, view[:st.lanes]); err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewBatchInjector(st.rate, nil, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes := make([]int, st.lanes)
+		for l := range lanes {
+			lanes[l] = l
+		}
+		if pass%2 == 0 { // odd passes plan live, row by row
+			reused.BeginSpan(lanes, rows*n)
+			want.BeginSpan(lanes, rows*n)
+		}
+		got := runLaneRows(t, &reused, f, w, rows, mkX)
+		ref := runLaneRows(t, want, f, w, rows, mkX)
+		for r := range ref {
+			for l := range ref[r] {
+				if got[r][l] != ref[r][l] {
+					t.Fatalf("pass %d row %d lane %d: reset %d, new %d", pass, r, l, got[r][l], ref[r][l])
+				}
+			}
+		}
+		if reused.Stats() != want.Stats() {
+			t.Fatalf("pass %d: counters %+v, want %+v", pass, reused.Stats(), want.Stats())
+		}
+		// Leave the injector dirty for the next Reset: a fresh span
+		// half consumed, lane 0 recording.
+		var log DrawLog
+		reused.Lane(0).StartRecord(&log)
+		reused.BeginSpan(lanes, 2*n)
+		runLaneRows(t, &reused, f, w, 1, mkX)
+	}
+	for _, bad := range []struct {
+		rate float64
+		srcs []rand.Source64
+	}{{-0.1, view}, {0.1, nil}, {0.1, []rand.Source64{view[0], nil}}} {
+		if err := reused.Reset(bad.rate, nil, bad.srcs); err == nil {
+			t.Errorf("Reset(%v, %d sources) accepted", bad.rate, len(bad.srcs))
+		}
+	}
+}

@@ -22,6 +22,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"shmd/internal/isa"
 	"shmd/internal/trace"
@@ -93,40 +94,83 @@ func Aggregate(windows []trace.WindowCounts, period int) ([]trace.WindowCounts, 
 	if period == 1 {
 		return append([]trace.WindowCounts(nil), windows...), nil
 	}
-	n := len(windows) / period
-	out := make([]trace.WindowCounts, n)
-	for g := 0; g < n; g++ {
-		agg := trace.WindowCounts{}
-		for k := 0; k < period; k++ {
-			w := windows[g*period+k]
-			for op := range agg.Opcode {
-				agg.Opcode[op] += w.Opcode[op]
-			}
-			agg.Taken += w.Taken
-			for b := range agg.Stride {
-				agg.Stride[b] += w.Stride[b]
-			}
-		}
-		out[g] = agg
+	out := make([]trace.WindowCounts, len(windows)/period)
+	for g := range out {
+		aggregateInto(&out[g], windows[g*period:(g+1)*period])
 	}
 	return out, nil
 }
 
-// Extract computes one feature vector per aggregated window.
-func Extract(windows []trace.WindowCounts, s Set, period int) ([][]float64, error) {
-	if _, err := s.Dim(); err != nil {
-		return nil, err
+// aggregateInto sums a group of consecutive windows into agg.
+func aggregateInto(agg *trace.WindowCounts, group []trace.WindowCounts) {
+	*agg = trace.WindowCounts{}
+	for k := range group {
+		w := &group[k]
+		for op := range agg.Opcode {
+			agg.Opcode[op] += w.Opcode[op]
+		}
+		agg.Taken += w.Taken
+		for b := range agg.Stride {
+			agg.Stride[b] += w.Stride[b]
+		}
 	}
-	agg, err := Aggregate(windows, period)
+}
+
+// AppendExtract appends one feature vector per aggregated window to
+// dst, flat and back to back (s.Dim() values each), and returns the
+// extended slice. It is the one extraction path: Extract and
+// FromWindow wrap it, and batched detection extracts every lane of a
+// pass into one reused arena with it. At period 1 the windows are read
+// in place; longer periods aggregate each group on the stack, so
+// appending into a slice with room allocates nothing.
+func AppendExtract(dst []float64, windows []trace.WindowCounts, s Set, period int) ([]float64, error) {
+	dim, err := s.Dim()
+	if err != nil {
+		return dst, err
+	}
+	if period < 1 {
+		return dst, fmt.Errorf("features: period %d < 1", period)
+	}
+	n := len(windows) / period
+	if n == 0 {
+		return dst, fmt.Errorf("features: no complete windows at period %d", period)
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, n*dim)[:base+n*dim]
+	clear(dst[base:])
+	var agg trace.WindowCounts
+	for g := 0; g < n; g++ {
+		w := &agg
+		if period == 1 {
+			w = &windows[g]
+		} else {
+			aggregateInto(w, windows[g*period:(g+1)*period])
+		}
+		out := dst[base+g*dim : base+(g+1)*dim]
+		switch s {
+		case SetInstrFreq:
+			instrFreq(out, w)
+		case SetMemory:
+			memoryFeatures(out, w)
+		case SetArchEvents:
+			archFeatures(out, w)
+		}
+	}
+	return dst, nil
+}
+
+// Extract computes one feature vector per aggregated window. The
+// vectors share one backing array (capacity-capped, so appending to
+// one never overwrites its neighbour).
+func Extract(windows []trace.WindowCounts, s Set, period int) ([][]float64, error) {
+	flat, err := AppendExtract(nil, windows, s, period)
 	if err != nil {
 		return nil, err
 	}
-	if len(agg) == 0 {
-		return nil, fmt.Errorf("features: no complete windows at period %d", period)
-	}
-	out := make([][]float64, len(agg))
-	for i, w := range agg {
-		out[i] = FromWindow(w, s)
+	dim, _ := s.Dim()
+	out := make([][]float64, len(flat)/dim)
+	for i := range out {
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return out, nil
 }
@@ -134,37 +178,32 @@ func Extract(windows []trace.WindowCounts, s Set, period int) ([][]float64, erro
 // FromWindow computes the feature vector of a single (possibly
 // aggregated) window.
 func FromWindow(w trace.WindowCounts, s Set) []float64 {
-	switch s {
-	case SetInstrFreq:
-		return instrFreq(w)
-	case SetMemory:
-		return memoryFeatures(w)
-	case SetArchEvents:
-		return archFeatures(w)
-	default:
-		panic(fmt.Sprintf("features: unknown set %d", int(s)))
-	}
-}
-
-// instrFreq is F1: normalized per-opcode frequencies.
-func instrFreq(w trace.WindowCounts) []float64 {
-	total := float64(w.Total())
-	out := make([]float64, DimInstrFreq)
-	if total == 0 {
-		return out
-	}
-	for op, n := range w.Opcode {
-		out[op] = float64(n) / total
+	out, err := AppendExtract(nil, []trace.WindowCounts{w}, s, 1)
+	if err != nil {
+		panic(err.Error())
 	}
 	return out
 }
 
-// memoryFeatures is F2.
-func memoryFeatures(w trace.WindowCounts) []float64 {
+// The per-family extractors fill out, which arrives zeroed and exactly
+// the family's width; an empty window leaves it all zero.
+
+// instrFreq is F1: normalized per-opcode frequencies.
+func instrFreq(out []float64, w *trace.WindowCounts) {
 	total := float64(w.Total())
-	out := make([]float64, DimMemory)
 	if total == 0 {
-		return out
+		return
+	}
+	for op, n := range w.Opcode {
+		out[op] = float64(n) / total
+	}
+}
+
+// memoryFeatures is F2.
+func memoryFeatures(out []float64, w *trace.WindowCounts) {
+	total := float64(w.Total())
+	if total == 0 {
+		return
 	}
 	loads, stores, memOps, stringOps, stackOps := 0, 0, 0, 0, 0
 	for _, ins := range isa.Catalog() {
@@ -216,15 +255,13 @@ func memoryFeatures(w trace.WindowCounts) []float64 {
 	out[13] = meanBucket / float64(trace.StrideBuckets-1)
 	out[14] = float64(stringOps) / total
 	out[15] = float64(stackOps) / total
-	return out
 }
 
 // archFeatures is F3.
-func archFeatures(w trace.WindowCounts) []float64 {
+func archFeatures(out []float64, w *trace.WindowCounts) {
 	total := float64(w.Total())
-	out := make([]float64, DimArchEvents)
 	if total == 0 {
-		return out
+		return
 	}
 	var branches, cond, calls, rets, muls int
 	var byCat [isa.NumCategories]int
@@ -267,7 +304,6 @@ func archFeatures(w trace.WindowCounts) []float64 {
 	out[13] = float64(byCat[isa.CatShiftRotate]) / total
 	out[14] = float64(byCat[isa.CatBitByte]+byCat[isa.CatFlagControl]) / total
 	out[15] = float64(byCat[isa.CatMisc]+byCat[isa.CatSegmentRegister]+byCat[isa.CatDecimalArith]+byCat[isa.CatRandomNumber]) / total
-	return out
 }
 
 // Concat extracts several feature sets and concatenates them per

@@ -308,3 +308,58 @@ func TestZeroWindowFeatures(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendExtract pins the one extraction path: vectors appended
+// flat after whatever dst holds, equal at every period to extracting
+// each Aggregate window alone, with no allocation once dst has room.
+func TestAppendExtract(t *testing.T) {
+	ws := testWindows(t, trace.Worm, 9)
+	for s := Set(0); int(s) < NumSets; s++ {
+		dim, _ := s.Dim()
+		for _, period := range []int{Period1, Period2, 3} {
+			agg, err := Aggregate(ws, period)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := []float64{7, 8}
+			got, err := AppendExtract(append([]float64(nil), prefix...), ws, s, period)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(prefix)+len(agg)*dim || got[0] != 7 || got[1] != 8 {
+				t.Fatalf("%v period %d: %d values, prefix %v", s, period, len(got), got[:2])
+			}
+			for g, w := range agg {
+				want := FromWindow(w, s)
+				vec := got[len(prefix)+g*dim : len(prefix)+(g+1)*dim]
+				for i := range want {
+					if math.Float64bits(vec[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%v period %d window %d feature %d: %v, want %v", s, period, g, i, vec[i], want[i])
+					}
+				}
+			}
+			buf := make([]float64, 0, len(got))
+			allocs := testing.AllocsPerRun(20, func() {
+				buf, _ = AppendExtract(buf[:0], ws, s, period)
+			})
+			if allocs != 0 {
+				t.Errorf("%v period %d: %.0f allocs appending into a sized buffer", s, period, allocs)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		s      Set
+		period int
+		ws     []trace.WindowCounts
+	}{
+		{Set(99), 1, ws},
+		{SetInstrFreq, 0, ws},
+		{SetInstrFreq, 10, ws},
+	} {
+		dst := []float64{1}
+		out, err := AppendExtract(dst, tc.ws, tc.s, tc.period)
+		if err == nil || len(out) != 1 {
+			t.Errorf("set %v period %d: err=%v, %d values", tc.s, tc.period, err, len(out))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package hmd
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"shmd/internal/dataset"
@@ -70,52 +71,71 @@ func (h *HMD) DetectBatchUnit(u fxp.BatchUnit, idxs []int, programs []dataset.Tr
 	return h.DetectTracesUnit(u, traces)
 }
 
+// laneArena is the lane-major state of one DetectTracesUnit call,
+// owned by the HMD and reused across calls so a steady-state batched
+// pass allocates only its returned decisions. feats holds every lane's
+// feature vectors back to back (lane j's are vectors first[j] up to
+// first[j+1]), and scores is indexed the same way. inputs, lanes and
+// out are the per-step views and results RunBatch works on.
+type laneArena struct {
+	feats  []float64
+	first  []int
+	scores []float64
+	inputs [][]float64
+	lanes  []int
+	out    []float64
+}
+
 // DetectTracesUnit is DetectBatchUnit over raw window traces — the
 // serving path's entry point, where lanes are concurrent requests
 // rather than dataset programs. Lane j carries traces[j]; everything
 // else (lane identities, ragged dropout, per-lane bit-identity, the
-// scratch-buffer caveat) is as documented on DetectBatchUnit.
+// scratch-buffer caveat) is as documented on DetectBatchUnit. Features,
+// scores and step views live in an arena the HMD keeps between calls
+// (WithFreshBuffers gives a copy its own), so only the returned
+// decisions are allocated.
 func (h *HMD) DetectTracesUnit(u fxp.BatchUnit, traces [][]trace.WindowCounts) []Decision {
 	k := len(traces)
 	out := make([]Decision, k)
 	if k == 0 {
 		return out
 	}
-	vecs := make([][][]float64, k)
-	scores := make([][]float64, k)
+	a := &h.arena
+	dim := h.fixed.NumInputs()
+	a.feats = a.feats[:0]
+	a.first = slices.Grow(a.first[:0], k+1)
 	maxSteps := 0
-	for j, windows := range traces {
-		v, err := features.Extract(windows, h.cfg.FeatureSet, h.cfg.Period)
+	for _, windows := range traces {
+		start := len(a.feats) / dim
+		a.first = append(a.first, start)
+		var err error
+		a.feats, err = features.AppendExtract(a.feats, windows, h.cfg.FeatureSet, h.cfg.Period)
 		if err != nil {
 			// A trace too short for the detection period is a caller
 			// bug, as in ScoreWindowsUnit.
 			panic(fmt.Sprintf("hmd: %v", err))
 		}
-		vecs[j] = v
-		scores[j] = make([]float64, 0, len(v))
-		if len(v) > maxSteps {
-			maxSteps = len(v)
-		}
+		maxSteps = max(maxSteps, len(a.feats)/dim-start)
 	}
-	inputs := make([][]float64, 0, k)
-	lanes := make([]int, 0, k)
-	var outBuf []float64
+	total := len(a.feats) / dim
+	a.first = append(a.first, total)
+	a.scores = slices.Grow(a.scores[:0], total)[:total]
 	for t := 0; t < maxSteps; t++ {
-		inputs = inputs[:0]
-		lanes = lanes[:0]
+		a.inputs = a.inputs[:0]
+		a.lanes = a.lanes[:0]
 		for j := 0; j < k; j++ {
-			if t < len(vecs[j]) {
-				inputs = append(inputs, vecs[j][t])
-				lanes = append(lanes, j)
+			if v := a.first[j] + t; v < a.first[j+1] {
+				a.inputs = append(a.inputs, a.feats[v*dim:(v+1)*dim])
+				a.lanes = append(a.lanes, j)
 			}
 		}
-		outBuf = h.fixed.RunBatch(u, inputs, lanes, outBuf)
-		for p, j := range lanes {
-			scores[j] = append(scores[j], outBuf[p])
+		a.out = h.fixed.RunBatch(u, a.inputs, a.lanes, a.out)
+		for p, j := range a.lanes {
+			a.scores[a.first[j]+t] = a.out[p]
 		}
 	}
 	for j := range out {
-		out[j] = h.DecideFromScores(scores[j])
+		out[j] = h.DecideFromScores(a.scores[a.first[j]:a.first[j+1]])
 	}
 	return out
 }

@@ -84,6 +84,9 @@ type HMD struct {
 	cfg   Config
 	net   *fann.Network
 	fixed *fann.FixedNetwork
+	// arena is DetectTracesUnit's reusable lane state; like fixed's
+	// scratch it belongs to one goroutine at a time.
+	arena laneArena
 }
 
 // Train fits a baseline HMD on the training programs' window features,
@@ -169,12 +172,13 @@ func FromNetwork(net *fann.Network, cfg Config) (*HMD, error) {
 func (h *HMD) Config() Config { return h.cfg }
 
 // WithFreshBuffers returns a shallow copy of the detector whose
-// fixed-point network owns its own scratch buffers. Weights are
+// fixed-point network and batch lane arena are its own. Weights are
 // shared read-only; use one copy per goroutine when evaluating in
 // parallel.
 func (h *HMD) WithFreshBuffers() *HMD {
 	c := *h
 	c.fixed = h.fixed.Clone()
+	c.arena = laneArena{}
 	return &c
 }
 

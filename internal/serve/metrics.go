@@ -320,8 +320,8 @@ func (m *Metrics) writeModelProm(w io.Writer) {
 	}
 	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
 	type decRow struct {
-		version          uint32
-		malware, benign  uint64
+		version         uint32
+		malware, benign uint64
 	}
 	decs := make([]decRow, 0, len(versions))
 	for _, v := range versions {

@@ -128,7 +128,7 @@ func (r *obsRing) push(malware, lowConf bool) {
 	r.n++
 }
 
-func (r *obsRing) len() int  { return len(r.malware) }
+func (r *obsRing) len() int   { return len(r.malware) }
 func (r *obsRing) full() bool { return len(r.malware) == cap(r.malware) }
 
 func rateOf(bits []bool) float64 {
@@ -183,10 +183,10 @@ func newRollout(srv *Server, reg *registry.Registry, cfg RolloutConfig) *rollout
 // RolloutStatus is the controller's observable state, reported by
 // /healthz and GET /v1/admin/models.
 type RolloutStatus struct {
-	Phase     string `json:"phase"`
-	Incumbent uint32 `json:"incumbent"`
-	Candidate uint32 `json:"candidate,omitempty"`
-	CanarySlots []int `json:"canarySlots,omitempty"`
+	Phase       string `json:"phase"`
+	Incumbent   uint32 `json:"incumbent"`
+	Candidate   uint32 `json:"candidate,omitempty"`
+	CanarySlots []int  `json:"canarySlots,omitempty"`
 	// CanaryObs / BaselineObs count windowed observations per side.
 	CanaryObs   int `json:"canaryObs"`
 	BaselineObs int `json:"baselineObs"`

@@ -84,20 +84,20 @@ func goldenFrames(t *testing.T) map[string]Frame {
 		t.Fatal(err)
 	}
 	return map[string]Frame{
-		"hello":      {Type: FrameHello, Payload: AppendHello(nil, Hello{Version: ProtoVersion, MaxFrame: DefaultMaxFramePayload})},
-		"hello_meta": {Type: FrameHello, Payload: AppendHello(nil, Hello{Version: ProtoVersion, MaxFrame: DefaultMaxFramePayload, Meta: map[string]string{MetaTenant: "acme", MetaClass: "realtime"}})},
-		"detect":     {Type: FrameDetect, Corr: 1, Payload: detect},
-		"detect_tenant": {Type: FrameDetect, Corr: 1, Payload: detectTenant},
+		"hello":          {Type: FrameHello, Payload: AppendHello(nil, Hello{Version: ProtoVersion, MaxFrame: DefaultMaxFramePayload})},
+		"hello_meta":     {Type: FrameHello, Payload: AppendHello(nil, Hello{Version: ProtoVersion, MaxFrame: DefaultMaxFramePayload, Meta: map[string]string{MetaTenant: "acme", MetaClass: "realtime"}})},
+		"detect":         {Type: FrameDetect, Corr: 1, Payload: detect},
+		"detect_tenant":  {Type: FrameDetect, Corr: 1, Payload: detectTenant},
 		"verdict":        {Type: FrameVerdict, Corr: 1, Payload: verdict},
 		"verdict_tenant": {Type: FrameVerdict, Corr: 1, Payload: verdictTenant},
 		"stream":         {Type: FrameStream, Corr: 6, Payload: stream},
 		"error":          {Type: FrameError, Corr: 7, Payload: AppendErrorFrame(nil, ErrorFrame{Code: CodeOverloaded, Msg: "detection queue full"})},
 		"error_retry":    {Type: FrameError, Corr: 7, Payload: AppendErrorFrame(nil, ErrorFrame{Code: CodeOverloaded, Msg: "detection queue full", RetryAfterSec: 2})},
 		"ping":           {Type: FramePing, Corr: 9},
-		"pong":       {Type: FramePong, Corr: 9},
-		"goaway":     {Type: FrameGoAway, Payload: AppendGoAway(nil, GoAway{Code: 0, Msg: "draining"})},
-		"health_req": {Type: FrameHealthReq, Corr: 3},
-		"health":     {Type: FrameHealth, Corr: 3, Payload: []byte(`{"status":"ok"}`)},
+		"pong":           {Type: FramePong, Corr: 9},
+		"goaway":         {Type: FrameGoAway, Payload: AppendGoAway(nil, GoAway{Code: 0, Msg: "draining"})},
+		"health_req":     {Type: FrameHealthReq, Corr: 3},
+		"health":         {Type: FrameHealth, Corr: 3, Payload: []byte(`{"status":"ok"}`)},
 	}
 }
 
