@@ -253,6 +253,13 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 		rep.Results = append(rep.Results, res)
 	}
 
+	// The /v1/detect body decode on its own, one 16-window program.
+	decode, err := measureJSONDecode(count, 16)
+	if err != nil {
+		return nil, err
+	}
+	rep.Results = append(rep.Results, decode)
+
 	// In-process /v1/detect throughput, one-lane vs 16-lane batches:
 	// same model, same pool shape, concurrent clients through the handler
 	// (no sockets). One op = one single-program request.
@@ -319,6 +326,48 @@ func measureSessionPass(env *experiments.Env, programs []dataset.TracedProgram, 
 	return res, passErr
 }
 
+// benchProgram is the one-program request the serve rows send: n
+// windows of a synthesized trojan trace, and its /v1/detect body.
+func benchProgram(n int) ([]trace.WindowCounts, []byte, error) {
+	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	windows, err := prog.Trace(n, 256)
+	if err != nil {
+		return nil, nil, err
+	}
+	body, err := json.Marshal(serve.DetectRequest{Programs: []serve.ProgramJSON{{
+		ID: "bench", Windows: serve.EncodeWindows(windows),
+	}}})
+	return windows, body, err
+}
+
+// serveWindows is the program length of the served rows: one detection
+// period, at least 4 windows.
+func serveWindows(base *hmd.HMD) int {
+	return max(4, base.Config().Period)
+}
+
+// measureJSONDecode benchmarks serve.DecodeDetectRequest on the body
+// of one k-window program: the /v1/detect decode stage alone.
+func measureJSONDecode(count, k int) (Result, error) {
+	_, body, err := benchProgram(k)
+	if err != nil {
+		return Result{}, err
+	}
+	var decodeErr error
+	res := measure(fmt.Sprintf("serve_json_decode_%d", k), count, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := serve.DecodeDetectRequest(bytes.NewReader(body), serve.Limits{}); err != nil {
+				decodeErr = err
+				b.FailNow()
+			}
+		}
+	})
+	return res, decodeErr
+}
+
 // measureServe benchmarks the detection service end to end in-process:
 // a real serve.Server (pool of 4 undervolted sessions at the operating
 // rate), concurrent clients calling the handler directly. maxBatch 0
@@ -330,21 +379,7 @@ func measureServe(base *hmd.HMD, count, maxBatch int) (Result, error) {
 	if maxBatch > 1 {
 		name = fmt.Sprintf("serve_detect_batched_%d", maxBatch)
 	}
-	win := 4
-	if p := base.Config().Period; p > win {
-		win = p
-	}
-	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	windows, err := prog.Trace(win, 256)
-	if err != nil {
-		return Result{}, err
-	}
-	body, err := json.Marshal(serve.DetectRequest{Programs: []serve.ProgramJSON{{
-		ID: "bench", Windows: serve.EncodeWindows(windows),
-	}}})
+	_, body, err := benchProgram(serveWindows(base))
 	if err != nil {
 		return Result{}, err
 	}
@@ -399,21 +434,7 @@ func measureServe(base *hmd.HMD, count, maxBatch int) (Result, error) {
 func measureServeTransports(base *hmd.HMD, count, maxBatch int) (Result, Result, error) {
 	jsonRow := Result{Name: fmt.Sprintf("serve_json_tcp_batched_%d", maxBatch)}
 	wireRow := Result{Name: fmt.Sprintf("serve_wire_stream_batched_%d", maxBatch)}
-	win := 4
-	if p := base.Config().Period; p > win {
-		win = p
-	}
-	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
-	if err != nil {
-		return jsonRow, wireRow, err
-	}
-	windows, err := prog.Trace(win, 256)
-	if err != nil {
-		return jsonRow, wireRow, err
-	}
-	body, err := json.Marshal(serve.DetectRequest{Programs: []serve.ProgramJSON{{
-		ID: "bench", Windows: serve.EncodeWindows(windows),
-	}}})
+	windows, body, err := benchProgram(serveWindows(base))
 	if err != nil {
 		return jsonRow, wireRow, err
 	}

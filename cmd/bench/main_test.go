@@ -155,8 +155,8 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 16 {
-		t.Fatalf("got %d results, want 16", len(rep.Results))
+	if len(rep.Results) != 17 {
+		t.Fatalf("got %d results, want 17", len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {

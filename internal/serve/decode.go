@@ -13,7 +13,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -165,78 +164,70 @@ func StatusOf(err error) int {
 	return http.StatusBadRequest
 }
 
-// DecodeDetectRequest parses and validates a /v1/detect body. Every
-// rejection is a *RequestError (or a JSON syntax error) classifying to
-// a 4xx via StatusOf; the decoder never panics on any input.
+// DecodeDetectRequest parses and validates a /v1/detect body. It reads
+// the whole body first (a read error such as http.MaxBytesError is
+// returned as is), decodes it in one pass (jsondecode.go), then checks
+// the request in order: one JSON value, batch size, and per program its
+// window count, opcode and stride widths, and counts. Every rejection
+// is a *RequestError (or the read error) classifying to a 4xx via
+// StatusOf; the decoder never panics on any input. The returned
+// programs and their Windows slices are freshly allocated and owned by
+// the caller.
 func DecodeDetectRequest(r io.Reader, lim Limits) ([]DecodedProgram, error) {
 	lim = lim.withDefaults()
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req DetectRequest
-	if err := dec.Decode(&req); err != nil {
+	d := decoders.Get().(*detectDecoder)
+	defer d.release()
+	if err := d.parse(r, lim); err != nil {
 		return nil, err
 	}
 	// Exactly one JSON value: trailing garbage is a malformed request.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+	if d.skipSpace(); d.pos < len(d.buf) {
 		return nil, badRequest("request body holds more than one JSON value")
 	}
-	if len(req.Programs) == 0 {
+	if d.nprog == 0 {
 		return nil, badRequest("empty batch: need at least one program")
 	}
-	if len(req.Programs) > lim.MaxPrograms {
-		return nil, badRequest("batch of %d programs exceeds limit %d", len(req.Programs), lim.MaxPrograms)
+	if d.nprog > lim.MaxPrograms {
+		return nil, badRequest("batch of %d programs exceeds limit %d", d.nprog, lim.MaxPrograms)
 	}
-	out := make([]DecodedProgram, len(req.Programs))
-	for i, p := range req.Programs {
-		windows, err := decodeProgram(p, i, lim)
+	out := make([]DecodedProgram, len(d.progs))
+	for i, p := range d.progs {
+		windows, err := d.program(p, i, lim)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = DecodedProgram{ID: p.ID, Windows: windows}
+		out[i] = DecodedProgram{ID: p.id, Windows: windows}
 	}
 	return out, nil
 }
 
-// decodeProgram validates one program's windows.
-func decodeProgram(p ProgramJSON, idx int, lim Limits) ([]trace.WindowCounts, error) {
-	if len(p.Windows) < lim.MinWindows {
+// program validates one stored program's windows and copies them into
+// a slice of exactly their number.
+func (d *detectDecoder) program(p programSpan, idx int, lim Limits) ([]trace.WindowCounts, error) {
+	if p.windows < lim.MinWindows {
 		return nil, badRequest("program %d: %d windows, need at least %d for one detection period",
-			idx, len(p.Windows), lim.MinWindows)
+			idx, p.windows, lim.MinWindows)
 	}
-	if len(p.Windows) > lim.MaxWindows {
-		return nil, badRequest("program %d: %d windows exceeds limit %d", idx, len(p.Windows), lim.MaxWindows)
+	if p.windows > lim.MaxWindows {
+		return nil, badRequest("program %d: %d windows exceeds limit %d", idx, p.windows, lim.MaxWindows)
 	}
-	out := make([]trace.WindowCounts, len(p.Windows))
-	for w, win := range p.Windows {
-		wc, err := decodeWindow(win, idx, w)
-		if err != nil {
+	wins := d.wins[p.first : p.first+p.windows]
+	for w, sh := range d.shapes[p.first : p.first+p.windows] {
+		if sh.opcodes != isa.NumOpcodes {
+			return nil, badRequest("program %d window %d: %d opcode counts, want %d",
+				idx, w, sh.opcodes, isa.NumOpcodes)
+		}
+		if sh.strides != 0 && sh.strides != trace.StrideBuckets {
+			return nil, badRequest("program %d window %d: %d stride buckets, want 0 or %d",
+				idx, w, sh.strides, trace.StrideBuckets)
+		}
+		if err := validateWindowCounts(wins[w], idx, w); err != nil {
 			return nil, err
 		}
-		out[w] = wc
 	}
+	out := make([]trace.WindowCounts, len(wins))
+	copy(out, wins)
 	return out, nil
-}
-
-// decodeWindow validates one window's JSON shape, converts it to the
-// internal measurement type, and applies the transport-independent
-// semantic checks.
-func decodeWindow(win WindowJSON, prog, idx int) (trace.WindowCounts, error) {
-	var wc trace.WindowCounts
-	if len(win.Opcode) != isa.NumOpcodes {
-		return wc, badRequest("program %d window %d: %d opcode counts, want %d",
-			prog, idx, len(win.Opcode), isa.NumOpcodes)
-	}
-	copy(wc.Opcode[:], win.Opcode)
-	wc.Taken = win.Taken
-	if len(win.Stride) != 0 && len(win.Stride) != trace.StrideBuckets {
-		return wc, badRequest("program %d window %d: %d stride buckets, want 0 or %d",
-			prog, idx, len(win.Stride), trace.StrideBuckets)
-	}
-	copy(wc.Stride[:], win.Stride)
-	if err := validateWindowCounts(wc, prog, idx); err != nil {
-		return trace.WindowCounts{}, err
-	}
-	return wc, nil
 }
 
 // validateWindowCounts applies the semantic checks every transport

@@ -17,64 +17,9 @@ import (
 // zero status); every accepted request survives an encode/decode
 // round-trip unchanged.
 func FuzzDetectRequestDecode(f *testing.F) {
-	// Seed with a fully valid request built from a real synthesized
-	// trace, so the fuzzer starts inside the accepted grammar...
-	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range detectDecodeSeeds(f) {
+		f.Add(seed)
 	}
-	windows, err := prog.Trace(4, 256)
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid, err := json.Marshal(DetectRequest{Programs: []ProgramJSON{
-		{ID: "seed", Windows: EncodeWindows(windows)},
-	}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	// ...and with representative rejections so each validation branch
-	// is in the corpus.
-	f.Add([]byte(`{`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"programs":[]}`))
-	f.Add([]byte(`{"programs":[{"windows":[]}]}`))
-	f.Add([]byte(`{"programs":[{"windows":[{"opcode":[1,2]}]}]}`))
-	f.Add([]byte(`{"programs":[{"windows":[{"opcode":[-1],"taken":5}]}]}`))
-	f.Add([]byte(`{"programs":[{"id":"x","windows":[{"stride":[1,2,3]}]}]}`))
-	f.Add(append(valid, []byte("{}")...))
-	// Journal-shaped bodies: a calibration journal POSTed at the detect
-	// endpoint by a confused client must be a clean 4xx, and its binary
-	// framing (magic, big-endian length, CRC trailer) gives the mutator
-	// structured non-JSON material to splice.
-	f.Add([]byte("SHMDJNL1\x00\x00\x00\x10{\"entries\":[]}\xde\xad\xbe\xef"))
-	f.Add([]byte(`{"programs":[{"id":"SHMDJNL1","windows":[{"opcode":[1]}]}]}`))
-	// Deadline-header-shaped bodies: header text leaking into the body,
-	// and header-like keys inside the JSON grammar.
-	f.Add([]byte("X-Detect-Deadline-Ms: 250\r\n\r\n" + `{"programs":[]}`))
-	f.Add([]byte(`{"X-Detect-Deadline-Ms":250,"programs":[{"windows":[{"opcode":[1]}]}]}`))
-	// Trace-framed bodies: a decision-trace file POSTed at the detect
-	// endpoint (an auditor piping the wrong file) must also be a clean
-	// 4xx, and a genuine framed record seeds the mutator with the trace
-	// grammar (magic, length prefix, varints, CRC trailer).
-	var framed bytes.Buffer
-	tw, err := replay.NewWriter(&framed)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := tw.WriteRecord(replay.Record{
-		Seed: 7, Rate: 0.1, DepthMV: 150, Threshold: 0.5,
-		Malware: true, Score: 0.75, Confidence: 0.5,
-		Draws:   faults.DrawLog{InitialGap: -1},
-		Windows: windows[:1],
-	}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(framed.Bytes())
-	f.Add([]byte(replay.Magic))
-	f.Add([]byte(`{"programs":[{"id":"SHMDTRC1","windows":[{"opcode":[1]}]}]}`))
-
 	lim := Limits{MaxPrograms: 8, MaxWindows: 16, MinWindows: 1}.withDefaults()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		programs, err := DecodeDetectRequest(bytes.NewReader(body), lim)
@@ -134,6 +79,77 @@ func FuzzDetectRequestDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// detectDecodeSeeds is the seed corpus of both decode fuzz targets.
+func detectDecodeSeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
+	// Seed with a fully valid request built from a real synthesized
+	// trace, so the fuzzer starts inside the accepted grammar...
+	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	windows, err := prog.Trace(4, 256)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := json.Marshal(DetectRequest{Programs: []ProgramJSON{
+		{ID: "seed", Windows: EncodeWindows(windows)},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, valid)
+	// ...and with representative rejections so each validation branch
+	// is in the corpus.
+	seeds = append(seeds,
+		[]byte(`{`),
+		[]byte(`null`),
+		[]byte(`{"programs":[]}`),
+		[]byte(`{"programs":[{"windows":[]}]}`),
+		[]byte(`{"programs":[{"windows":[{"opcode":[1,2]}]}]}`),
+		[]byte(`{"programs":[{"windows":[{"opcode":[-1],"taken":5}]}]}`),
+		[]byte(`{"programs":[{"id":"x","windows":[{"stride":[1,2,3]}]}]}`),
+		append(valid, []byte("{}")...),
+	)
+	// Journal-shaped bodies: a calibration journal POSTed at the detect
+	// endpoint by a confused client must be a clean 4xx, and its binary
+	// framing (magic, big-endian length, CRC trailer) gives the mutator
+	// structured non-JSON material to splice.
+	seeds = append(seeds,
+		[]byte("SHMDJNL1\x00\x00\x00\x10{\"entries\":[]}\xde\xad\xbe\xef"),
+		[]byte(`{"programs":[{"id":"SHMDJNL1","windows":[{"opcode":[1]}]}]}`),
+	)
+	// Deadline-header-shaped bodies: header text leaking into the body,
+	// and header-like keys inside the JSON grammar.
+	seeds = append(seeds,
+		[]byte("X-Detect-Deadline-Ms: 250\r\n\r\n"+`{"programs":[]}`),
+		[]byte(`{"X-Detect-Deadline-Ms":250,"programs":[{"windows":[{"opcode":[1]}]}]}`),
+	)
+	// Trace-framed bodies: a decision-trace file POSTed at the detect
+	// endpoint (an auditor piping the wrong file) must also be a clean
+	// 4xx, and a genuine framed record seeds the mutator with the trace
+	// grammar (magic, length prefix, varints, CRC trailer).
+	var framed bytes.Buffer
+	tw, err := replay.NewWriter(&framed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := tw.WriteRecord(replay.Record{
+		Seed: 7, Rate: 0.1, DepthMV: 150, Threshold: 0.5,
+		Malware: true, Score: 0.75, Confidence: 0.5,
+		Draws:   faults.DrawLog{InitialGap: -1},
+		Windows: windows[:1],
+	}); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds,
+		framed.Bytes(),
+		[]byte(replay.Magic),
+		[]byte(`{"programs":[{"id":"SHMDTRC1","windows":[{"opcode":[1]}]}]}`),
+	)
+	return seeds
 }
 
 // TestStatusOf pins the error-to-status mapping the fuzz target relies
