@@ -57,14 +57,26 @@ type lane struct {
 	class  tenant.Class
 	ctx    context.Context
 	enq    time.Time
-	// done receives the lane's outcome; buffered so a flusher delivering
-	// to an abandoned lane (deadline already expired) never blocks.
-	done chan laneOutcome
+	// idx is the lane's program index in its request.
+	idx int
+	// done is the request's completion channel, shared by all its
+	// lanes and buffered for every one of them: each lane completes
+	// exactly once, so a flusher delivering to an abandoned request
+	// (deadline expired, client gone) never blocks.
+	done chan<- laneOutcome
+}
+
+// finish delivers the lane's outcome, tagged with its program index.
+func (ln *lane) finish(o laneOutcome) {
+	o.idx = ln.idx
+	ln.done <- o
 }
 
 // laneOutcome is one lane's verdict (or failure) as delivered to its
 // waiting handler.
 type laneOutcome struct {
+	// idx is the program index of the lane it completes.
+	idx     int
 	v       core.Verdict
 	session int
 	// model is the model version of the slot that scored the lane.
@@ -84,24 +96,29 @@ type batchOutcome struct {
 
 // newBatcher wires the dispatcher to the server's pool and metrics.
 func newBatcher(srv *Server) *batcher {
-	return &batcher{srv: srv, max: max(srv.cfg.MaxBatch, 1), wait: srv.cfg.MaxBatchWait}
+	b := &batcher{srv: srv, max: max(srv.cfg.MaxBatch, 1), wait: srv.cfg.MaxBatchWait}
+	b.pending = make([]*lane, 0, b.max)
+	return b
 }
 
 // dispatch submits every program as a lane and assembles the request's
-// results as lanes complete. Lanes from one request may land in
-// different batches (and thus different slots); the reported session is
-// the first lane's. A request error (deadline, pool closed) aborts the
-// request; verdict-level degradation does not.
+// results, in program order, as lanes complete. Lanes from one request
+// may land in different batches (and thus different slots); the
+// reported session is the first program's. A request error (deadline,
+// pool closed) aborts the request at the first failed lane;
+// verdict-level degradation does not.
 //
-// With one-lane batches the programs run one after another, in order,
-// so a request's verdicts draw a slot's batch passes in program order
-// exactly as on a single slot; larger batches take every lane at once
-// so they can coalesce.
+// All lanes of a request complete into one channel with room for each
+// of them. With one-lane batches the programs run one after another,
+// in order, so a request's verdicts draw a slot's batch passes in
+// program order exactly as on a single slot; larger batches take every
+// lane at once so they can coalesce.
 func (b *batcher) dispatch(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram) (batchOutcome, error) {
+	done := make(chan laneOutcome, len(programs))
 	lanes := make([]lane, len(programs))
 	now := time.Now()
 	for i, p := range programs {
-		lanes[i] = lane{windows: p.Windows, tenant: tenantID, class: class, ctx: ctx, enq: now, done: make(chan laneOutcome, 1)}
+		lanes[i] = lane{windows: p.Windows, tenant: tenantID, class: class, ctx: ctx, enq: now, idx: i, done: done}
 	}
 	out := batchOutcome{results: make([]DetectResult, len(programs)), session: -1}
 	for lo := 0; lo < len(lanes); {
@@ -112,13 +129,14 @@ func (b *batcher) dispatch(ctx context.Context, class tenant.Class, tenantID str
 		for i := lo; i < hi; i++ {
 			b.submit(&lanes[i])
 		}
-		for i := lo; i < hi; i++ {
+		for range hi - lo {
 			select {
-			case o := <-lanes[i].done:
+			case o := <-done:
 				if o.err != nil {
 					return batchOutcome{}, o.err
 				}
-				if out.session < 0 {
+				i := o.idx
+				if i == 0 {
 					out.session = o.session
 				}
 				out.hedge = out.hedge || o.hedged
@@ -135,7 +153,7 @@ func (b *batcher) dispatch(ctx context.Context, class tenant.Class, tenantID str
 				}
 			case <-ctx.Done():
 				// The remaining lanes stay in the batcher; the flusher
-				// sheds or completes them into their buffered channels.
+				// sheds or completes them into the buffered channel.
 				return batchOutcome{}, ctx.Err()
 			}
 		}
@@ -166,7 +184,7 @@ func (b *batcher) submit(ln *lane) {
 // b.mu.
 func (b *batcher) take() []*lane {
 	batch := b.pending
-	b.pending = nil
+	b.pending = make([]*lane, 0, b.max)
 	b.gen++
 	if b.timer != nil {
 		b.timer.Stop()
@@ -212,7 +230,7 @@ func (b *batcher) flush(lanes []*lane, reason string) {
 			// The handler already replied (503 on deadline, 499 on a gone
 			// client); the buffered send is bookkeeping for a listener
 			// that may still be in its select.
-			ln.done <- laneOutcome{err: err}
+			ln.finish(laneOutcome{err: err})
 			continue
 		}
 		live = append(live, ln)
@@ -250,11 +268,11 @@ func acquire(live []*lane, get func(context.Context, tenant.Class) error) []*lan
 		}
 		if errors.Is(err, ErrPoolClosed) {
 			for _, ln := range live {
-				ln.done <- laneOutcome{err: err}
+				ln.finish(laneOutcome{err: err})
 			}
 			return nil
 		}
-		live[0].done <- laneOutcome{err: err}
+		live[0].finish(laneOutcome{err: err})
 		live = live[1:]
 	}
 	return nil
@@ -304,7 +322,7 @@ func (b *batcher) run(primary *Slot, lanes []*lane) {
 			pending--
 			if out.err == nil {
 				for j, ln := range lanes {
-					ln.done <- laneOutcome{v: out.verdicts[j], session: out.session, model: out.model, hedged: out.hedge}
+					ln.finish(laneOutcome{v: out.verdicts[j], session: out.session, model: out.model, hedged: out.hedge})
 				}
 				return
 			}
@@ -323,7 +341,7 @@ func (b *batcher) run(primary *Slot, lanes []*lane) {
 		}
 	}
 	for _, ln := range lanes {
-		ln.done <- laneOutcome{err: firstErr}
+		ln.finish(laneOutcome{err: firstErr})
 	}
 }
 

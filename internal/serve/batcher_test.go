@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -533,12 +534,129 @@ func TestBatchedClassPriority(t *testing.T) {
 			// The freed unit goes to the realtime flush; the earlier bulk
 			// flush keeps waiting until that batch has run. The gate holds
 			// as many units as the pool has slots, so this is the order
-			// the two lanes are checked out in.
+			// the two lanes are checked out in. Holding the pool's only
+			// slot parks the granted flush at checkout, so it cannot run
+			// and hand the unit on to the bulk flush before the read.
+			slot, err := srv.pool.Acquire(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 			srv.gate.Release()
 			if rt, bulk := srv.gate.Waiting(tenant.Realtime), srv.gate.Waiting(tenant.Batch); rt != 0 || bulk != 1 {
 				t.Errorf("after one release: %d realtime, %d batch lanes waiting; want the realtime lane granted first", rt, bulk)
 			}
+			srv.pool.Release(slot)
 			wg.Wait()
 		})
+	}
+}
+
+// TestBatchedCancelMidBatch abandons a 16-lane request while its batch
+// is in flight, first parked at checkout and then running: dispatch
+// returns at once, every lane still completes into the request's
+// shared channel without blocking the flusher, the server's detection
+// goroutines drain, and the pool serves the next request.
+func TestBatchedCancelMidBatch(t *testing.T) {
+	srv := newTestServer(t, Config{Pool: PoolConfig{Size: 1}, MaxBatch: 16, MaxBatchWait: time.Hour})
+	defer srv.Close()
+	progs := make([]DecodedProgram, 16)
+	for i := range progs {
+		progs[i] = DecodedProgram{ID: strconv.Itoa(i), Windows: testWindows(t, trace.Trojan, i, 64)}
+	}
+	type result struct {
+		out batchOutcome
+		err error
+	}
+	start := func(ctx context.Context) <-chan result {
+		res := make(chan result, 1)
+		go func() {
+			out, err := srv.batcher.dispatch(ctx, tenant.Batch, "", progs)
+			res <- result{out, err}
+		}()
+		return res
+	}
+	await := func(what string, res <-chan result) result {
+		t.Helper()
+		select {
+		case r := <-res:
+			return r
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: dispatch did not return", what)
+			return result{}
+		}
+	}
+	drain := func(what string) {
+		t.Helper()
+		idle := make(chan struct{})
+		go func() {
+			srv.detWG.Wait()
+			close(idle)
+		}()
+		select {
+		case <-idle:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: detection goroutines did not drain", what)
+		}
+	}
+	slot := srv.Pool().Slots()[0]
+
+	// Parked at checkout: the test holds the pool's only slot.
+	held, err := srv.pool.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	res := start(ctx)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if full, _ := srv.Metrics().BatchFlushes(); full == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the 16-lane request never flushed")
+		}
+	}
+	cancel()
+	if r := await("parked", res); !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("parked: err = %v, want context.Canceled", r.err)
+	}
+	drain("parked")
+	srv.pool.Release(held)
+	if n := slot.Sup.Health().Detections; n != 0 {
+		t.Fatalf("parked: %d detections ran, want 0", n)
+	}
+
+	// Running: cancel once the batch holds the slot.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	res = start(ctx)
+	ran := false
+	for deadline := time.Now().Add(5 * time.Second); !ran && slot.busy.Load() == 0; runtime.Gosched() {
+		select {
+		case r := <-res:
+			// Finished before the poll saw the slot busy: nothing to
+			// abandon this time.
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			ran = true
+			t.Log("batch finished before it could be cancelled")
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the batch never checked out the slot")
+		}
+	}
+	if !ran {
+		cancel()
+		if r := await("running", res); r.err != nil && !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("running: err = %v, want context.Canceled or success", r.err)
+		}
+	}
+	drain("running")
+	if n := slot.Sup.Health().Detections; n == 0 {
+		t.Fatal("running: the batch never ran")
+	}
+	if r := await("next", start(context.Background())); r.err != nil || len(r.out.results) != len(progs) {
+		t.Fatalf("next request: %d results, err %v", len(r.out.results), r.err)
 	}
 }

@@ -20,6 +20,7 @@ import (
 
 	"shmd/internal/isa"
 	"shmd/internal/trace"
+	"shmd/internal/wire"
 )
 
 // Decode limits. The defaults bound worst-case request cost: a full
@@ -129,11 +130,10 @@ type DetectResponse struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// DecodedProgram is a validated program ready for detection.
-type DecodedProgram struct {
-	ID      string
-	Windows []trace.WindowCounts
-}
+// DecodedProgram is a validated program ready for detection. It is
+// the SHMDWIRE DETECT program itself, so a decoded frame's programs
+// reach the batcher without a copy.
+type DecodedProgram = wire.DetectProgram
 
 // RequestError is a client-side decode/validation failure carrying the
 // HTTP status it maps to.

@@ -22,6 +22,8 @@ import (
 	"io"
 	"log"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,13 +73,95 @@ type windowStream struct {
 	tenant string
 	stride int
 	period int
-	// buf holds the trailing period windows.
+	// buf holds the trailing period windows (fewer until period have
+	// arrived). Its capacity is period; slide copies into it and never
+	// appends past it.
 	buf []trace.WindowCounts
 	// total counts windows ever appended; a re-scoring triggered at
 	// window N is labelled "<label>#N" in its verdict.
 	total int
 	// sinceScore counts windows appended since the last re-scoring.
 	sinceScore int
+}
+
+// newWindowStream opens an empty stream.
+func newWindowStream(label string, period, stride int) *windowStream {
+	return &windowStream{label: label, period: period, stride: stride, buf: make([]trace.WindowCounts, 0, period)}
+}
+
+// slide appends windows to the stream and returns the re-scorings they
+// trigger, in order: every window that completes a period and reaches
+// the stride since the last re-scoring yields the trailing period
+// windows, labelled "<label>#N" with N the window's index.
+//
+// An append with re-scorings due builds one slab, the buffered tail
+// followed by windows, and every span is a capacity-capped sub-slice
+// of it, so overlapping spans share memory. Spans are read-only
+// downstream (feature extraction and the batch pass only read them,
+// and a trace record keeps them), so the slab is never reused; the
+// stream's own tail is a separate buffer. All labels of one append
+// share one string. An append with nothing due allocates nothing.
+func (st *windowStream) slide(windows []trace.WindowCounts) []DecodedProgram {
+	due, since := 0, st.sinceScore
+	for i := range windows {
+		if since++; st.due(st.total+i+1, since) {
+			due++
+			since = 0
+		}
+	}
+	var programs []DecodedProgram
+	if due > 0 {
+		tail := len(st.buf)
+		slab := make([]trace.WindowCounts, tail+len(windows))
+		copy(slab, st.buf)
+		copy(slab[tail:], windows)
+		var digits [20]byte
+		last := len(strconv.AppendInt(digits[:0], int64(st.total+len(windows)), 10))
+		var labels strings.Builder
+		labels.Grow(due * (len(st.label) + 1 + last))
+		programs = make([]DecodedProgram, 0, due)
+		since = st.sinceScore
+		for i := range windows {
+			n := st.total + i + 1
+			if since++; !st.due(n, since) {
+				continue
+			}
+			since = 0
+			from := labels.Len()
+			labels.WriteString(st.label)
+			labels.WriteByte('#')
+			labels.Write(strconv.AppendInt(digits[:0], int64(n), 10))
+			end := tail + i + 1
+			programs = append(programs, DecodedProgram{
+				ID:      labels.String()[from:],
+				Windows: slab[end-st.period : end : end],
+			})
+		}
+	}
+	st.total += len(windows)
+	st.sinceScore = since
+	st.keep(windows)
+	return programs
+}
+
+// due reports whether the window that brings the stream to n windows,
+// the since-th after the last re-scoring, triggers a re-scoring.
+func (st *windowStream) due(n, since int) bool {
+	return n >= st.period && since >= st.stride
+}
+
+// keep updates the buffered tail to the last period windows after
+// windows were appended, copying within buf's fixed capacity.
+func (st *windowStream) keep(windows []trace.WindowCounts) {
+	if len(windows) >= st.period {
+		st.buf = st.buf[:st.period]
+		copy(st.buf, windows[len(windows)-st.period:])
+		return
+	}
+	old := min(len(st.buf), st.period-len(windows))
+	copy(st.buf, st.buf[len(st.buf)-old:])
+	st.buf = st.buf[:old+len(windows)]
+	copy(st.buf[old:], windows)
 }
 
 // register adds a live connection (nil map allocates on first use).
@@ -324,10 +408,7 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 		s.writeWireError(wc, f.Corr, failure{code: int(wire.CodeBadRequest), msg: err.Error()})
 		return
 	}
-	programs := make([]DecodedProgram, len(req.Programs))
-	for i, p := range req.Programs {
-		programs[i] = DecodedProgram{ID: p.ID, Windows: p.Windows}
-	}
+	programs := req.Programs
 	if err := ValidatePrograms(programs, s.cfg.Limits); err != nil {
 		s.writeWireError(wc, f.Corr, failure{code: StatusOf(err), msg: err.Error()})
 		return
@@ -438,11 +519,7 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 			})
 			return
 		}
-		st = &windowStream{
-			label:  req.ID,
-			period: s.cfg.Limits.MinWindows,
-			stride: int(req.Stride),
-		}
+		st = newWindowStream(req.ID, s.cfg.Limits.MinWindows, int(req.Stride))
 		if s.tenants != nil {
 			id := req.Tenant
 			if id == "" {
@@ -486,25 +563,7 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 		return
 	}
 
-	// Slide the buffer and collect the spans due for re-scoring.
-	var programs []DecodedProgram
-	for _, w := range req.Windows {
-		st.buf = append(st.buf, w)
-		if len(st.buf) > st.period {
-			st.buf = st.buf[len(st.buf)-st.period:]
-		}
-		st.total++
-		st.sinceScore++
-		if len(st.buf) == st.period && st.sinceScore >= st.stride {
-			span := make([]trace.WindowCounts, st.period)
-			copy(span, st.buf)
-			programs = append(programs, DecodedProgram{
-				ID:      fmt.Sprintf("%s#%d", st.label, st.total),
-				Windows: span,
-			})
-			st.sinceScore = 0
-		}
-	}
+	programs := st.slide(req.Windows)
 	if len(programs) == 0 {
 		s.release(tk)
 		s.ackStream(wc, f.Corr, st.tenant)

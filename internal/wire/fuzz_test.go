@@ -217,6 +217,9 @@ func FuzzDetectFrameRoundTrip(f *testing.F) {
 			if !bytes.Equal(enc, data) {
 				t.Fatalf("detect round trip not identity:\n got %x\nwant %x", enc, data)
 			}
+			if n := detectRequestLen(req); n != len(data) {
+				t.Fatalf("detect pre-sized %d bytes, encoded %d", n, len(data))
+			}
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("untyped detect decode error: %v", err)
 		}
@@ -227,6 +230,9 @@ func FuzzDetectFrameRoundTrip(f *testing.F) {
 			}
 			if !bytes.Equal(enc, data) {
 				t.Fatalf("verdict round trip not identity:\n got %x\nwant %x", enc, data)
+			}
+			if n := verdictLen(v); n != len(data) {
+				t.Fatalf("verdict pre-sized %d bytes, encoded %d", n, len(data))
 			}
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("untyped verdict decode error: %v", err)

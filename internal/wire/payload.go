@@ -17,7 +17,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"shmd/internal/isa"
@@ -91,6 +93,7 @@ func AppendDetectRequest(dst []byte, req DetectRequest) ([]byte, error) {
 	if len(req.Programs) > MaxPrograms {
 		return nil, fmt.Errorf("wire: %d programs exceeds %d", len(req.Programs), MaxPrograms)
 	}
+	dst = slices.Grow(dst, detectRequestLen(req))
 	dst = binary.BigEndian.AppendUint32(dst, req.DeadlineMs)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Programs)))
 	for i, p := range req.Programs {
@@ -111,6 +114,26 @@ func AppendDetectRequest(dst []byte, req DetectRequest) ([]byte, error) {
 		}
 	}
 	return appendTenantTail(dst, req.Tenant)
+}
+
+// detectRequestLen is the encoded length of req, which
+// AppendDetectRequest grows its buffer by once. Oversized ids and
+// window lists count at their bound; encoding rejects them anyway.
+func detectRequestLen(req DetectRequest) int {
+	n := 4 + 2 + tenantTailLen(req.Tenant)
+	for _, p := range req.Programs {
+		n += 1 + min(len(p.ID), MaxIDLen) + 2 + min(len(p.Windows), MaxWindows)*windowWireLen
+	}
+	return n
+}
+
+// tenantTailLen is the encoded length of the tenant tag tail (0 when
+// the tag is empty), capped like the tag itself.
+func tenantTailLen(tenant string) int {
+	if tenant == "" {
+		return 0
+	}
+	return 1 + min(len(tenant), MaxIDLen)
 }
 
 // appendTenantTail appends the optional tenant tag tail: omitted
@@ -170,6 +193,12 @@ func appendWindow(dst []byte, w trace.WindowCounts, prog, idx int) ([]byte, erro
 // DecodeDetectRequest decodes a DETECT payload. Every failure wraps
 // ErrCorrupt; the decoder never allocates more than the payload's own
 // length implies and never panics.
+//
+// A frame decodes into three allocations whatever its program count:
+// the program slice, one window slab holding every program's windows
+// back to back (each program's Windows is a capacity-capped sub-slice,
+// so appending to one never overwrites its neighbour), and one string
+// holding every program id.
 func DecodeDetectRequest(p []byte) (DetectRequest, error) {
 	d := decoder{buf: p}
 	req := DetectRequest{DeadlineMs: d.u32("deadline")}
@@ -177,11 +206,18 @@ func DecodeDetectRequest(p []byte) (DetectRequest, error) {
 	if n > MaxPrograms {
 		return DetectRequest{}, corrupt("%d programs exceeds %d", n, MaxPrograms)
 	}
+	var (
+		slab []trace.WindowCounts
+		ids  strings.Builder
+	)
 	if d.err == nil && n > 0 {
-		req.Programs = make([]DetectProgram, 0, min(n, len(p)/windowWireLen+1))
+		progs, windows, idBytes := detectExtent(p[d.off:], n)
+		req.Programs = make([]DetectProgram, 0, progs)
+		slab = make([]trace.WindowCounts, 0, windows)
+		ids.Grow(idBytes)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
-		prog := DetectProgram{ID: d.str8("program id")}
+		prog := DetectProgram{ID: d.str8Shared(&ids, "program id")}
 		w := int(d.u16("window count"))
 		if w > MaxWindows {
 			return DetectRequest{}, corrupt("program %d: %d windows exceeds %d", i, w, MaxWindows)
@@ -190,10 +226,12 @@ func DecodeDetectRequest(p []byte) (DetectRequest, error) {
 			if rem := len(d.buf) - d.off; rem < w*windowWireLen {
 				return DetectRequest{}, corrupt("program %d claims %d windows, %d bytes remain", i, w, rem)
 			}
-			prog.Windows = make([]trace.WindowCounts, w)
-			for j := range prog.Windows {
-				prog.Windows[j] = d.window()
+			start := len(slab)
+			slab = slices.Grow(slab, w)[:start+w]
+			for j := start; j < len(slab); j++ {
+				d.windowInto(&slab[j])
 			}
+			prog.Windows = slab[start:len(slab):len(slab)]
 		}
 		req.Programs = append(req.Programs, prog)
 	}
@@ -203,6 +241,33 @@ func DecodeDetectRequest(p []byte) (DetectRequest, error) {
 		return DetectRequest{}, d.err
 	}
 	return req, nil
+}
+
+// detectExtent walks the first n program headers of a DETECT body
+// (p starts at the first program), skipping window bodies, and returns
+// how many programs are complete and their total window count and id
+// bytes: the exact sizes of the decoder's three allocations. It stops
+// at the first malformed or truncated program, which the decoding pass
+// then reports, so the totals never exceed what p holds.
+func detectExtent(p []byte, n int) (progs, windows, idBytes int) {
+	off := 0
+	for ; progs < n; progs++ {
+		if off >= len(p) {
+			break
+		}
+		k := int(p[off])
+		if len(p)-off < 1+k+2 {
+			break
+		}
+		w := int(binary.BigEndian.Uint16(p[off+1+k:]))
+		if w > MaxWindows || len(p)-off-(1+k+2) < w*windowWireLen {
+			break
+		}
+		off += 1 + k + 2 + w*windowWireLen
+		windows += w
+		idBytes += k
+	}
+	return progs, windows, idBytes
 }
 
 // VerdictResult is one program's verdict in a VERDICT frame.
@@ -232,6 +297,9 @@ const (
 	verdictHedged     = 1 << 0
 	resultMalware     = 1 << 0
 	resultUnprotected = 1 << 1
+	// resultFixedLen is one result's encoded size besides its id bytes:
+	// id length, flags, score, confidence, attempts, windows.
+	resultFixedLen = 1 + 1 + 8 + 8 + 4 + 4
 )
 
 // AppendVerdict appends the canonical encoding of v.
@@ -239,6 +307,7 @@ func AppendVerdict(dst []byte, v Verdict) ([]byte, error) {
 	if len(v.Results) > MaxPrograms {
 		return nil, fmt.Errorf("wire: %d results exceeds %d", len(v.Results), MaxPrograms)
 	}
+	dst = slices.Grow(dst, verdictLen(v))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(v.Session))
 	var flags byte
 	if v.Hedged {
@@ -268,6 +337,16 @@ func AppendVerdict(dst []byte, v Verdict) ([]byte, error) {
 	return appendTenantTail(dst, v.Tenant)
 }
 
+// verdictLen is the encoded length of v (oversized ids at their
+// bound), which AppendVerdict grows its buffer by once.
+func verdictLen(v Verdict) int {
+	n := 4 + 1 + 2 + tenantTailLen(v.Tenant)
+	for _, r := range v.Results {
+		n += min(len(r.ID), MaxIDLen) + resultFixedLen
+	}
+	return n
+}
+
 // DecodeVerdict decodes a VERDICT payload.
 func DecodeVerdict(p []byte) (Verdict, error) {
 	d := decoder{buf: p}
@@ -281,11 +360,14 @@ func DecodeVerdict(p []byte) (Verdict, error) {
 	if n > MaxPrograms {
 		return Verdict{}, corrupt("%d results exceeds %d", n, MaxPrograms)
 	}
+	var ids strings.Builder
 	if d.err == nil && n > 0 {
-		v.Results = make([]VerdictResult, 0, min(n, len(p)/26+1))
+		results, idBytes := verdictExtent(p[d.off:], n)
+		v.Results = make([]VerdictResult, 0, results)
+		ids.Grow(idBytes)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
-		r := VerdictResult{ID: d.str8("result id")}
+		r := VerdictResult{ID: d.str8Shared(&ids, "result id")}
 		rf := d.u8("result flags")
 		if d.err == nil && rf&^byte(resultMalware|resultUnprotected) != 0 {
 			return Verdict{}, corrupt("result %d: reserved flags 0x%02x set", i, rf)
@@ -304,6 +386,25 @@ func DecodeVerdict(p []byte) (Verdict, error) {
 		return Verdict{}, d.err
 	}
 	return v, nil
+}
+
+// verdictExtent walks the first n results of a VERDICT body (p starts
+// at the first result) and returns how many are complete and their
+// total id bytes, stopping at the first truncated one.
+func verdictExtent(p []byte, n int) (results, idBytes int) {
+	off := 0
+	for ; results < n; results++ {
+		if off >= len(p) {
+			break
+		}
+		k := int(p[off])
+		if len(p)-off < k+resultFixedLen {
+			break
+		}
+		off += k + resultFixedLen
+		idBytes += k
+	}
+	return results, idBytes
 }
 
 // ErrorFrame is the ERROR frame payload: a typed failure code (HTTP
@@ -524,6 +625,7 @@ func AppendStreamRequest(dst []byte, req StreamRequest) ([]byte, error) {
 	if len(req.Windows) > MaxWindows {
 		return nil, fmt.Errorf("wire: stream append has %d windows, limit %d", len(req.Windows), MaxWindows)
 	}
+	dst = slices.Grow(dst, streamRequestLen(req))
 	dst = binary.BigEndian.AppendUint32(dst, req.StreamID)
 	var flags byte
 	if req.Close {
@@ -541,6 +643,12 @@ func AppendStreamRequest(dst []byte, req StreamRequest) ([]byte, error) {
 		}
 	}
 	return appendTenantTail(dst, req.Tenant)
+}
+
+// streamRequestLen is the encoded length of req, whose id and window
+// count AppendStreamRequest has already bounded.
+func streamRequestLen(req StreamRequest) int {
+	return 4 + 1 + 2 + 1 + len(req.ID) + 2 + len(req.Windows)*windowWireLen + tenantTailLen(req.Tenant)
 }
 
 // DecodeStreamRequest decodes a STREAM payload.
@@ -564,7 +672,7 @@ func DecodeStreamRequest(p []byte) (StreamRequest, error) {
 		}
 		req.Windows = make([]trace.WindowCounts, w)
 		for j := range req.Windows {
-			req.Windows[j] = d.window()
+			d.windowInto(&req.Windows[j])
 		}
 	}
 	req.Tenant = d.tenantTail()
@@ -644,6 +752,22 @@ func (d *decoder) str8(what string) string {
 	return s
 }
 
+// str8Shared reads a u8-length-prefixed string into ids, which the
+// caller pre-grows to hold every such string of the payload, and
+// returns it as a substring of ids' one buffer: a frame's strings then
+// share a single allocation. A strings.Builder never rewrites bytes it
+// has handed out, so earlier substrings stay valid even if ids grows.
+func (d *decoder) str8Shared(ids *strings.Builder, what string) string {
+	n := int(d.u8(what))
+	if !d.need(n, what) {
+		return ""
+	}
+	ids.Write(d.buf[d.off : d.off+n])
+	d.off += n
+	all := ids.String()
+	return all[len(all)-n:]
+}
+
 // str16 reads a u16-length-prefixed string.
 func (d *decoder) str16(what string) string {
 	n := int(d.u16(what))
@@ -655,23 +779,23 @@ func (d *decoder) str16(what string) string {
 	return s
 }
 
-// window reads one fixed-size window encoding.
-func (d *decoder) window() trace.WindowCounts {
-	var w trace.WindowCounts
+// windowInto reads one fixed-size window encoding into *w, writing
+// every field.
+func (d *decoder) windowInto(w *trace.WindowCounts) {
 	if !d.need(windowWireLen, "window") {
-		return w
+		return
 	}
-	w.Taken = int(binary.BigEndian.Uint32(d.buf[d.off:]))
-	d.off += 4
+	b := d.buf[d.off : d.off+windowWireLen]
+	w.Taken = int(binary.BigEndian.Uint32(b))
+	b = b[4:]
 	for i := range w.Opcode {
-		w.Opcode[i] = int(binary.BigEndian.Uint32(d.buf[d.off:]))
-		d.off += 4
+		w.Opcode[i] = int(binary.BigEndian.Uint32(b[4*i:]))
 	}
+	b = b[4*len(w.Opcode):]
 	for i := range w.Stride {
-		w.Stride[i] = int(binary.BigEndian.Uint32(d.buf[d.off:]))
-		d.off += 4
+		w.Stride[i] = int(binary.BigEndian.Uint32(b[4*i:]))
 	}
-	return w
+	d.off += windowWireLen
 }
 
 // done asserts the payload was consumed exactly: trailing garbage is
